@@ -7,11 +7,13 @@ Two edges e1 = u1v1, e2 = u2v2 are related when
 The relation is reflexive and symmetric; its transitive closure partitions the
 edge set into classes E_1, ..., E_r.  A connected graph is a partial cube
 exactly when it is bipartite and the relation is already transitive; we
-recognize that directly: build the classes by pairwise tests, cut along each
-class, read off a binary coordinate per class, and verify exhaustively that
-Hamming distance of the coordinates equals graph distance for every vertex
-pair.  Acceptance therefore comes with a fully checked hypercube embedding,
-and rejection with a machine-checkable witness.
+recognize that directly: grow each class as a search over the relation, one
+vectorised relation row (one edge against all edges) per member, cut along
+each class, read off a binary coordinate per class, and verify exhaustively
+with a row-blocked array comparison that Hamming distance of the coordinates
+equals graph distance for every vertex pair.  Acceptance therefore comes with
+a fully checked hypercube embedding, and rejection with a machine-checkable
+witness.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .core import (
     is_bipartite,
 )
 
-_PAIR_BLOCK = 512  # edge-pair tests are evaluated in blocks of this many rows
+#: The isometry check compares label Hamming distances with the distance
+#: matrix in row blocks of at most this many (vertex pair, label word) cells.
+_HAMMING_BLOCK_CELLS = 1 << 20
 
 
 def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
@@ -37,25 +41,6 @@ def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bo
     u1, v1 = e1
     u2, v2 = e2
     return int(d[u1, u2]) + int(d[v1, v2]) != int(d[u1, v2]) + int(d[v1, u2])
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 @dataclass(frozen=True)
@@ -93,43 +78,39 @@ class ThetaPartition:
         return ThetaPartition(tuple(normalized), tuple(class_of))
 
 
-def _related_matrix_blocks(d: np.ndarray, edges):
-    """Yield (row_offset, block) of the pairwise relation, block-by-block.
-
-    block[i, j] is True when edge (row_offset + i) is related to edge j.
-    Blocked evaluation keeps peak memory at O(block * m) instead of O(m^2)
-    int32 temporaries.
-    """
-    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    u, v = e[:, 0], e[:, 1]
-    m = len(e)
-    d64 = d.astype(np.int64, copy=False)
-    for lo in range(0, m, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, m)
-        bu, bv = u[lo:hi], v[lo:hi]
-        lhs = d64[np.ix_(bu, u)] + d64[np.ix_(bv, v)]
-        rhs = d64[np.ix_(bu, v)] + d64[np.ix_(bv, u)]
-        yield lo, lhs != rhs
-
-
 def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
-    """Transitive-closure classes by O(m^2) pairwise tests and union-find.
+    """Transitive-closure classes, grown one relation row at a time.
+
+    Each class starts at the smallest unassigned edge and grows breadth-first:
+    the relation row of a member a = (ua, va) against every edge (u, v) is the
+    four-distance test of theta_related, d[ua,u] + d[va,v] != d[ua,v] + d[va,u],
+    evaluated as one array expression, and every unassigned edge it hits
+    joins the class.  Each edge's row is evaluated exactly once, so the work
+    is m rows of O(m) array operations, exact on any graph.
 
     Class order is deterministic: by smallest contained edge index.
     """
     if d is None:
         d = distance_matrix(g)  # raises on disconnected input
     m = g.edge_count
-    uf = _UnionFind(m)
-    for lo, block in _related_matrix_blocks(d, g.edges):
-        for i, j in np.argwhere(block):
-            a, b = lo + int(i), int(j)
-            if a < b:
-                uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for k in range(m):
-        groups.setdefault(uf.find(k), []).append(k)
-    return ThetaPartition.from_classes(groups.values(), m)
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    class_of = np.full(m, -1, dtype=np.intp)
+    classes: list[list[int]] = []
+    for start in range(m):
+        if class_of[start] != -1:
+            continue
+        j = len(classes)
+        class_of[start] = j
+        members = [start]
+        for a in members:  # members grows while it is walked
+            du, dv = d[u[a]], d[v[a]]
+            row = du[u] + dv[v] != du[v] + dv[u]
+            joined = np.flatnonzero(row & (class_of == -1))
+            class_of[joined] = j
+            members.extend(joined.tolist())
+        classes.append(members)
+    return ThetaPartition.from_classes(classes, m)
 
 
 @dataclass(frozen=True)
@@ -195,34 +176,44 @@ class RecognitionWitness:
         if self.kind == "hamming_violation":
             if self.pair is None:
                 return False
-            theta = theta_star_classes(g)
-            labels = _cut_labels(g, theta)
-            if labels is None:
+            labelling = _cut_labelling(g, theta_star_classes(g))
+            if isinstance(labelling, RecognitionWitness):
                 return False
+            labels, _ = labelling
             u, v = self.pair
             d = int(distance_matrix(g)[u, v])
             return (labels[u] ^ labels[v]).bit_count() != d
         return False
 
 
-def _cut_labels(g: Graph, theta: ThetaPartition) -> list[int] | None:
-    """Canonical per-vertex coordinates from the class cuts.
+def _cut_labelling(g: Graph, theta: ThetaPartition):
+    """Canonical per-vertex coordinates and sides from the class cuts.
 
-    Returns None when some class cut does not split the graph in two, in
-    which case no labeling is defined.
+    Returns (labels, sides): labels[v] carries bit j for class j, set on the
+    side of the cut away from the lower endpoint of the class's smallest
+    edge, and sides[j] is (bit-0 side, bit-1 side).  When some class cut does
+    not leave exactly two components, no labelling is defined and the first
+    such class comes back as a "bad_class_cut" RecognitionWitness instead.
     """
-    labels = [0] * g.vertex_count
+    n = g.vertex_count
+    everyone = frozenset(range(n))
+    labels = [0] * n
+    sides: list[tuple[frozenset[int], frozenset[int]]] = []
     for j, cls in enumerate(theta.classes):
         comp, count = component_labels(g, cls)
         if count != 2:
-            return None
+            return RecognitionWitness(
+                kind="bad_class_cut", class_edges=cls, component_count=count
+            )
         a, b = g.edges[cls[0]]
         zero_side = comp[min(a, b)]
         bit = 1 << j
-        for x in range(g.vertex_count):
-            if comp[x] != zero_side:
-                labels[x] |= bit
-    return labels
+        ones = [x for x in range(n) if comp[x] != zero_side]
+        for x in ones:
+            labels[x] |= bit
+        one_set = frozenset(ones)
+        sides.append((everyone - one_set, one_set))
+    return labels, sides
 
 
 def recognize_partial_cube(g: Graph):
@@ -242,25 +233,10 @@ def recognize_partial_cube(g: Graph):
         return RecognitionWitness(kind="odd_cycle", odd_cycle=tuple(odd))
 
     theta = theta_star_classes(g, d)
-
-    labels = [0] * g.vertex_count
-    sides: list[tuple[frozenset[int], frozenset[int]]] = []
-    for j, cls in enumerate(theta.classes):
-        comp, count = component_labels(g, cls)
-        if count != 2:
-            return RecognitionWitness(
-                kind="bad_class_cut", class_edges=cls, component_count=count
-            )
-        a, b = g.edges[cls[0]]
-        zero_side = comp[min(a, b)]
-        bit = 1 << j
-        ones = []
-        for x in range(g.vertex_count):
-            if comp[x] != zero_side:
-                labels[x] |= bit
-                ones.append(x)
-        one_set = frozenset(ones)
-        sides.append((frozenset(range(g.vertex_count)) - one_set, one_set))
+    labelling = _cut_labelling(g, theta)
+    if isinstance(labelling, RecognitionWitness):
+        return labelling
+    labels, sides = labelling
 
     bad = _hamming_mismatch(labels, theta.class_count, d)
     if bad is not None:
@@ -275,22 +251,25 @@ def recognize_partial_cube(g: Graph):
 
 
 def _hamming_mismatch(labels: list[int], r: int, d: np.ndarray):
-    """First vertex pair whose label Hamming distance differs from d, if any."""
+    """First vertex pair whose label Hamming distance differs from d, if any.
+
+    Pairs are scanned in row-major order.  Labels are split into ceil(r/64)
+    uint64 words, and each block of rows is compared against the same rows
+    of d, so no n x n temporary is built.
+    """
     n = len(labels)
-    if r <= 64:
-        arr = np.asarray(labels, dtype=np.uint64)
-        ham = np.bitwise_count(arr[:, None] ^ arr[None, :]).astype(np.int64)
-        mismatch = np.argwhere(ham != d.astype(np.int64))
-        if len(mismatch):
-            u, v = (int(x) for x in mismatch[0])
-            return u, v
-        return None
-    for u in range(n):
-        lu = labels[u]
-        row = d[u]
-        for v in range(u + 1, n):
-            if (lu ^ labels[v]).bit_count() != int(row[v]):
-                return u, v
+    words = max(1, -(-r // 64))
+    packed = np.frombuffer(
+        b"".join(x.to_bytes(8 * words, "little") for x in labels), dtype="<u8"
+    ).reshape(n, words)
+    rows = max(1, _HAMMING_BLOCK_CELLS // max(1, n * words))
+    for lo in range(0, n, rows):
+        block = packed[lo : lo + rows, None, :] ^ packed[None, :, :]
+        ham = np.bitwise_count(block).sum(axis=2, dtype=np.int64)
+        bad = np.flatnonzero(ham != d[lo : lo + rows])
+        if len(bad):
+            u, v = divmod(int(bad[0]), n)
+            return lo + u, v
     return None
 
 

@@ -34,6 +34,60 @@ def random_tree(rng, n: int) -> ci.Graph:
     return ci.build_graph(n, edges)
 
 
+def complete(n: int) -> ci.Graph:
+    return ci.build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def petersen() -> ci.Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return ci.build_graph(10, outer + spokes + inner)
+
+
+def hypercube_near_miss(n: int, u: int, v: int) -> ci.Graph:
+    """Q_n plus the edge u-v.
+
+    With u, v at odd Hamming distance >= 3 the graph stays bipartite but is
+    never a partial cube.
+    """
+    g = hypercube(n)
+    return ci.build_graph(2**n, list(g.edges) + [(u, v)])
+
+
+def theta_closure_by_pairs(g: ci.Graph) -> tuple[tuple, tuple]:
+    """Transitive closure of theta_related as (classes, class_of).
+
+    Built from a scalar test of every edge pair and a plain union-find, so it
+    shares no code with theta_star_classes.  Canonical form as in
+    ThetaPartition: sorted classes ordered by smallest edge index.
+    """
+    d = ci.distance_matrix(g)
+    m = g.edge_count
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            if ci.theta_related(d, g.edges[a], g.edges[b]):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for k in range(m):
+        groups.setdefault(find(k), []).append(k)
+    classes = tuple(sorted((tuple(c) for c in groups.values()), key=lambda c: c[0]))
+    class_of = [0] * m
+    for j, cls in enumerate(classes):
+        for k in cls:
+            class_of[k] = j
+    return classes, tuple(class_of)
+
+
 def random_weights(rng, count: int, hi: int = 100) -> tuple[int, ...]:
     return tuple(rng.randint(1, hi) for _ in range(count))
 

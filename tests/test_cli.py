@@ -196,6 +196,48 @@ def test_recognize_k23_false_still_exit_0(tmp_path, capsys):
     assert _lines(capsys)[0] == "partial_cube=false"
 
 
+def _q4_near_miss_text():
+    edges = [(v, v ^ 1 << b) for v in range(16) for b in range(4) if v ^ 1 << b > v]
+    edges.append((0, 7))  # odd distance 3: bipartite, not a partial cube
+    return f"p 16 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+_Q4_NEAR_MISS_CLASS = list(range(33))  # one class holds every edge
+
+
+@pytest.mark.parametrize(
+    "name, text, expected, expected_json",
+    [
+        (
+            "q4-near-miss",
+            _q4_near_miss_text(),
+            "partial_cube=false\n"
+            "witness=bad_class_cut\n"
+            "witness_class_edges=" + ",".join(map(str, _Q4_NEAR_MISS_CLASS)) + "\n"
+            "witness_components=16\n",
+            '{"partial_cube": false, "witness": {"kind": "bad_class_cut", '
+            f'"class_edges": {_Q4_NEAR_MISS_CLASS}, "component_count": 16}}}}\n',
+        ),
+        (
+            "k23",
+            "p 5 6\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n",
+            "partial_cube=false\n"
+            "witness=bad_class_cut\n"
+            "witness_class_edges=0,1,2,3,4,5\n"
+            "witness_components=5\n",
+            '{"partial_cube": false, "witness": {"kind": "bad_class_cut", '
+            '"class_edges": [0, 1, 2, 3, 4, 5], "component_count": 5}}\n',
+        ),
+    ],
+)
+def test_recognize_rejection_stdout_pinned(tmp_path, capsys, name, text, expected, expected_json):
+    path = _write(tmp_path, f"{name}.graph", text)
+    assert main(["recognize", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["recognize", path, "--json"]) == 0
+    assert capsys.readouterr().out == expected_json
+
+
 def test_recognize_k2_json(tmp_path, capsys):
     rc = main(["recognize", _write(tmp_path, "k2.graph", "p 2 1\ne 0 1\n"), "--json"])
     assert rc == 0

@@ -1,9 +1,23 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import cutindex as ci
-from helpers import cycle, hypercube, path, random_tree
+from cutindex import theta as theta_module
+from helpers import (
+    complete,
+    cycle,
+    hypercube,
+    hypercube_near_miss,
+    path,
+    petersen,
+    random_benzenoid,
+    random_c4c8,
+    random_tree,
+    theta_closure_by_pairs,
+)
 
 
 def test_theta_related_c4():
@@ -233,3 +247,82 @@ def test_label_string():
     pc = ci.recognize_partial_cube(cycle(4))
     strings = {pc.label_string(v) for v in range(4)}
     assert strings == {"00", "01", "10", "11"}
+
+
+def _closure_cases():
+    rng = random.Random(20160912)
+    cases = {f"Q{n}": (lambda n=n: hypercube(n)) for n in range(1, 6)}
+    cases.update({f"C{n}": (lambda n=n: cycle(n)) for n in range(4, 17, 2)})
+    for t in range(8):
+        n = rng.randint(2, 40)
+        seed = rng.randrange(2**32)
+        cases[f"tree{t}-n{n}"] = lambda n=n, seed=seed: random_tree(random.Random(seed), n)
+    for t in range(4):
+        seed = rng.randrange(2**32)
+        cases[f"c4c8-{t}"] = lambda seed=seed: ci.build_c4c8(
+            random_c4c8(random.Random(seed), 6))[0]
+        cases[f"benzenoid-{t}"] = lambda seed=seed: ci.build_benzenoid(
+            random_benzenoid(random.Random(seed), 6))[0]
+    cases.update({f"C{n}": (lambda n=n: cycle(n)) for n in range(3, 12, 2)})
+    cases["K4"] = lambda: complete(4)
+    cases["petersen"] = petersen
+    for n in range(3, 6):
+        far = [(u, v) for u in range(2**n) for v in range(u + 1, 2**n)
+               if bin(u ^ v).count("1") % 2 == 1 and bin(u ^ v).count("1") >= 3]
+        for u, v in rng.sample(far, 3):
+            cases[f"Q{n}+{u}-{v}"] = lambda n=n, u=u, v=v: hypercube_near_miss(n, u, v)
+    return cases
+
+
+_CLOSURE_CASES = _closure_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
+def test_theta_star_equals_pairwise_closure(name):
+    g = _CLOSURE_CASES[name]()
+    tp = ci.theta_star_classes(g)
+    classes, class_of = theta_closure_by_pairs(g)
+    assert tp.classes == classes
+    assert tp.class_of == class_of
+
+
+def _first_mismatch_scalar(labels, d):
+    for u in range(len(labels)):
+        for v in range(len(labels)):
+            if bin(labels[u] ^ labels[v]).count("1") != int(d[u, v]):
+                return u, v
+    return None
+
+
+@pytest.mark.parametrize("block_cells", [1, 97, None])
+@pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
+def test_hamming_mismatch_matches_scalar_scan(monkeypatch, r, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(theta_module, "_HAMMING_BLOCK_CELLS", block_cells)
+    rng = random.Random(r)
+    n = 37
+    for _ in range(4):
+        labels = [rng.getrandbits(r) for _ in range(n)]
+        exact = np.array(
+            [[bin(a ^ b).count("1") for b in labels] for a in labels], dtype=np.int32
+        )
+        assert theta_module._hamming_mismatch(labels, r, exact) is None
+
+        symmetric = exact.copy()
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            symmetric[u, v] = symmetric[v, u] = exact[u, v] + rng.choice((-1, 1))
+        expected = _first_mismatch_scalar(labels, symmetric)
+        assert expected is not None
+        assert theta_module._hamming_mismatch(labels, r, symmetric) == expected
+
+        lower = exact.copy()
+        u, v = sorted(rng.sample(range(n), 2), reverse=True)
+        lower[u, v] += 1  # below the diagonal only
+        assert theta_module._hamming_mismatch(labels, r, lower) == (u, v)
+
+        flipped = list(labels)
+        flipped[rng.randrange(n)] ^= 1 << rng.randrange(r)
+        expected = _first_mismatch_scalar(flipped, exact)
+        assert expected is not None
+        assert theta_module._hamming_mismatch(flipped, r, exact) == expected
