@@ -27,10 +27,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import Graph, GraphError, build_graph
-from .indices import VertexEdgeWeightedGraph, VertexWeightedGraph
+from .indices import VertexEdgeWeightedGraph, indices_from_rows
 from .quotient import CoarserPartition, quotient_by_edge_classes, validate_coarser
 from .theta import ThetaPartition
-from .treedp import szeged_tree_linear, tree_cut_rows, wiener_tree_linear
+from .treedp import tree_cut_rows
 
 OCTAGON_OFFSETS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
 HEXAGON_OFFSETS = ((0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1))
@@ -319,25 +319,22 @@ def _direction_quotient_trees(g, theta, cp):
 
 
 def c4c8_report(spec: C4C8Spec):
-    """Indices of a C4C8 system plus per-class cut rows, all in O(n).
+    """Indices of a C4C8 system plus its per-class cut rows, all in O(n).
 
-    Returns (wiener, szeged, rows) where rows contains one
-    (class_index, class_size, side1, side2) tuple per edge class, ordered by
-    class index.
+    Returns (wiener, szeged, rows): rows holds one CutRow per edge class,
+    ordered by class index, each the row of one quotient-tree edge mapped
+    back to the class it represents.
     """
     g, tags, _, theta = c4c8_theta_partition(spec)
     cp = direction_partition(g, tags, theta)
-    wiener = 0
-    szeged = 0
     rows = []
     for wq in _direction_quotient_trees(g, theta, cp):
         tree = VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)
-        wiener += wiener_tree_linear(VertexWeightedGraph(wq.quotient, wq.vertex_weight))
-        szeged += szeged_tree_linear(tree)
-        for e, side, rest in tree_cut_rows(tree):
-            (j,) = wq.class_map[e]
-            rows.append((j, wq.edge_weight[e], side, rest))
+        for row in tree_cut_rows(tree):
+            (j,) = wq.class_map[row.class_index]
+            rows.append(row._replace(class_index=j))
     rows.sort()
+    wiener, szeged = indices_from_rows(rows)
     return wiener, szeged, rows
 
 

@@ -25,18 +25,15 @@ from .files import (
 )
 from .indices import (
     VertexEdgeWeightedGraph,
-    VertexWeightedGraph,
     cut_class_summaries,
+    indices_from_rows,
+    partition_rows,
     szeged_brute,
-    szeged_cut,
-    szeged_via_partition,
     wiener_brute,
-    wiener_cut,
-    wiener_via_partition,
 )
-from .quotient import build_quotient, coarsest_partition, finest_partition, quotient_theta_classes, validate_coarser
+from .quotient import coarsest_partition, finest_partition, validate_coarser
 from .theta import PartialCube, recognize_partial_cube
-from .treedp import szeged_tree_linear, wiener_tree_linear
+from .treedp import tree_cut_rows
 
 
 class _UsageError(Exception):
@@ -53,23 +50,31 @@ def _read(path: str) -> str:
 
 
 def _load_input(path: str):
-    """Parse a graph or cell file into (graph, tags, c4c8_spec, is_cells)."""
+    """Parse a graph file into (data, None) or a cell file into (None, spec).
+
+    A cell spec is validated here but not assembled; _graph_of builds the
+    graph for the routes that need one.
+    """
     text = _read(path)
     if sniff_kind(text) == "cells":
         kind, cells = parse_cell_text(text)
+        spec = C4C8Spec(cells) if kind == "c4c8" else BenzenoidSpec(cells)
         try:
-            if kind == "c4c8":
-                spec = C4C8Spec(cells)
-                g, tags, coords = build_c4c8(spec)
-                return g, tags, coords, spec, True, None
-            bspec = BenzenoidSpec(cells)
-            g, tags, coords = build_benzenoid(bspec)
-            return g, tags, coords, None, True, None
+            spec.validate()
         except GraphError as exc:
             # Invalid cell sets are input errors, like any other bad file.
             raise ParseError(1, str(exc)) from None
-    data = parse_graph_text(text)
-    return data.graph, None, None, None, False, data
+        return None, spec
+    return parse_graph_text(text), None
+
+
+def _graph_of(data, spec):
+    """The graph of a loaded input and its direction tags (None for graph files)."""
+    if spec is None:
+        return data.graph, None
+    build = build_c4c8 if isinstance(spec, C4C8Spec) else build_benzenoid
+    g, tags, _ = build(spec)
+    return g, tags
 
 
 def _witness_payload(witness):
@@ -110,16 +115,6 @@ def _parse_explicit_groups(spec: str):
     return groups
 
 
-def _class_rows_for_partition(pc, cp):
-    rows = []
-    for i in range(cp.group_count):
-        wq = build_quotient(pc, cp, i)
-        for s in quotient_theta_classes(wq):
-            rows.append((s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
-    rows.sort()
-    return rows
-
-
 def _emit_index_report(args, method, partition, wiener, szeged, rows) -> None:
     if args.json:
         payload = {"command": "index", "method": method}
@@ -146,7 +141,7 @@ def _emit_index_report(args, method, partition, wiener, szeged, rows) -> None:
 
 
 def cmd_index(args) -> int:
-    g, tags, _, c4c8_spec, is_cells, data = _load_input(args.file)
+    data, spec = _load_input(args.file)
     if data is not None and data.has_nondefault_weights:
         raise _UsageError(
             "index computes unweighted graph indices; wv/we weights apply to tree-index"
@@ -155,28 +150,27 @@ def cmd_index(args) -> int:
     partition = args.partition
     rows = None
 
-    if method == "brute":
+    if method == "partition" and partition == "direction" and isinstance(spec, C4C8Spec):
+        # C4C8 systems take the linear pipeline: geometric cuts, tree quotients.
+        wiener, szeged, rows = c4c8_report(spec)
+    elif method == "brute":
+        g, _ = _graph_of(data, spec)
         wiener, szeged = wiener_brute(g), szeged_brute(g)
         if args.verbose:
             result = recognize_partial_cube(g)
             if isinstance(result, PartialCube):
-                rows = [(s.class_index, s.size, s.n1, s.n2) for s in cut_class_summaries(result)]
-    elif method == "partition" and partition == "direction" and c4c8_spec is not None:
-        # C4C8 systems take the linear pipeline: geometric cuts, tree quotients.
-        wiener, szeged, all_rows = c4c8_report(c4c8_spec)
-        rows = all_rows if args.verbose else None
+                rows = cut_class_summaries(result)
     else:
-        if partition == "direction" and method == "partition" and not is_cells:
+        if partition == "direction" and method == "partition" and spec is None:
             raise _UsageError("--partition direction requires a cell file")
+        g, tags = _graph_of(data, spec)
         result = recognize_partial_cube(g)
         if not isinstance(result, PartialCube):
             _print_witness(result, args.json)
             return 3
         pc = result
         if method == "cut":
-            wiener, szeged = wiener_cut(pc), szeged_cut(pc)
-            if args.verbose:
-                rows = [(s.class_index, s.size, s.n1, s.n2) for s in cut_class_summaries(pc)]
+            rows = cut_class_summaries(pc)
         else:
             if partition == "finest":
                 cp = finest_partition(pc.theta)
@@ -186,17 +180,15 @@ def cmd_index(args) -> int:
                 cp = direction_partition(pc.graph, tags, pc.theta)
             else:
                 cp = validate_coarser(pc.theta, _parse_explicit_groups(partition))
-            wiener = wiener_via_partition(pc, cp)
-            szeged = szeged_via_partition(pc, cp)
-            if args.verbose:
-                rows = _class_rows_for_partition(pc, cp)
+            rows = partition_rows(pc, cp)
+        wiener, szeged = indices_from_rows(rows)
 
-    _emit_index_report(args, method, partition, wiener, szeged, rows)
+    _emit_index_report(args, method, partition, wiener, szeged, rows if args.verbose else None)
     return 0
 
 
 def cmd_recognize(args) -> int:
-    g, _, _, _, _, _ = _load_input(args.file)
+    g, _ = _graph_of(*_load_input(args.file))
     result = recognize_partial_cube(g)
     if isinstance(result, PartialCube):
         sizes = [len(cls) for cls in result.theta.classes]
@@ -238,8 +230,7 @@ def cmd_generate(args) -> int:
 def cmd_tree_index(args) -> int:
     data = parse_graph_text(_read(args.file))
     weighted = VertexEdgeWeightedGraph(data.graph, data.vertex_weights, data.edge_weights)
-    wiener = wiener_tree_linear(VertexWeightedGraph(data.graph, data.vertex_weights))
-    szeged = szeged_tree_linear(weighted)
+    wiener, szeged = indices_from_rows(tree_cut_rows(weighted), weighted=True)
     if args.json:
         print(json.dumps({"command": "tree-index", "wiener": wiener, "szeged": szeged}))
     else:

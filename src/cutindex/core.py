@@ -106,12 +106,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    return UNREACHABLE not in bfs_distances(g, 0)
-
-
 def require_connected(g: Graph) -> None:
     """Raise GraphError naming two disconnected vertices if g is not connected."""
     if g.vertex_count == 0:

@@ -1,30 +1,37 @@
 """Wiener and Szeged index evaluators.
 
-Three routes to the same numbers, kept deliberately independent so they can
-check each other:
+The cut method makes both indices sums over cuts: a row
+(class_index, size, n1, n2) per cut contributes n1 * n2 to the Wiener index
+and size * n1 * n2 to the Szeged index.  Every fast route is a producer of
+such rows, and indices_from_rows is the one place they are summed:
 
-  * brute force straight from the definitions (distance sums, per-edge
-    strict-side counts);
-  * the cut formulas over the Theta classes of a recognized partial cube;
-  * the partition route, summing weighted indices of quotient graphs over a
-    partition coarser than the Theta partition.
+  * the cut route, one row per Theta class of a recognized partial cube
+    (cut_class_summaries);
+  * the partition route, the same rows read off the weighted quotients of a
+    partition coarser than the Theta partition (partition_rows);
+  * the tree route, one row per edge of a weighted tree (treedp), which the
+    C4C8 pipeline in chem maps back to the classes of its quotient trees.
 
-Equidistant vertices count on neither side of an edge (strict inequalities);
-bipartite graphs have none, but the weighted evaluators implement the strict
-rule so they are correct on any connected input.  Integer-weighted inputs
-produce exact integers: side classification uses integer distance
-comparisons, and accumulation happens in Python integers (with a numpy int64
-fast path only when a proven bound rules out overflow).
+The brute evaluators work straight from the definitions (distance sums,
+per-edge strict-side counts) and share nothing with the routes; they are the
+oracle that checks them.  Equidistant vertices count on neither side of an
+edge (strict inequalities); bipartite graphs have none, but the weighted
+evaluators implement the strict rule so they are correct on any connected
+input.  Integer-weighted inputs produce exact integers: side classification
+uses integer distance comparisons, and accumulation happens in Python
+integers (with a numpy int64 fast path only when a proven bound rules out
+overflow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Graph, GraphError, check_u64, distance_matrix
-from .quotient import CoarserPartition, build_quotient
+from .quotient import CoarserPartition, build_quotient, quotient_theta_classes
 from .theta import PartialCube, class_sides
 
 _INT64_SAFE = 2**62
@@ -143,9 +150,13 @@ def szeged_weighted(gww: VertexEdgeWeightedGraph):
     return check_u64(total, "weighted Szeged index")
 
 
-@dataclass(frozen=True)
-class CutClassSummary:
-    """One Theta class of a partial cube: size and cut-side sizes."""
+class CutRow(NamedTuple):
+    """One cut of the cut method: class index, class size and side sizes.
+
+    On weighted inputs (tree edges, quotient classes) size and sides are
+    weight sums.  The cut adds n1 * n2 to the Wiener index and
+    size * n1 * n2 to the Szeged index.
+    """
 
     class_index: int
     size: int
@@ -153,45 +164,65 @@ class CutClassSummary:
     n2: int
 
 
-def cut_class_summaries(pc: PartialCube) -> list[CutClassSummary]:
-    out = []
+def indices_from_rows(rows, weighted: bool = False):
+    """(Wiener, Szeged): the sums of n1 * n2 and size * n1 * n2 over cut rows.
+
+    Rows are CutRows or plain (class_index, size, n1, n2) tuples.  Both sums
+    are checked against the unsigned 64-bit range, the Wiener index first;
+    weighted only changes the wording of those errors.
+    """
+    wiener = szeged = 0
+    for _, size, n1, n2 in rows:
+        term = n1 * n2
+        wiener += term
+        szeged += size * term
+    what = "weighted " if weighted else ""
+    return (
+        check_u64(wiener, what + "Wiener index"),
+        check_u64(szeged, what + "Szeged index"),
+    )
+
+
+def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
+    """The cut route's rows: one per Theta class, in class order."""
+    rows = []
     for j in range(pc.theta.class_count):
         n1, n2, size = class_sides(pc, j)
-        out.append(CutClassSummary(class_index=j, size=size, n1=len(n1), n2=len(n2)))
-    return out
+        rows.append(CutRow(j, size, len(n1), len(n2)))
+    return rows
+
+
+def partition_rows(pc: PartialCube, cp: CoarserPartition) -> list[CutRow]:
+    """The partition route's rows, read off one weighted quotient per group.
+
+    Each quotient is a partial cube whose own classes recover the size and
+    the weighted cut sides of the original classes they represent, oriented
+    by the class anchor, so the rows equal cut_class_summaries(pc).  Sorted
+    by class index.
+    """
+    rows = []
+    for i in range(cp.group_count):
+        for s in quotient_theta_classes(build_quotient(pc, cp, i)):
+            rows.append(CutRow(s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
+    rows.sort()
+    return rows
 
 
 def wiener_cut(pc: PartialCube) -> int:
     """Wiener index as the sum of n1 * n2 over the Theta classes."""
-    total = 0
-    for s in cut_class_summaries(pc):
-        total += s.n1 * s.n2
-    return check_u64(total, "Wiener index")
+    return indices_from_rows(cut_class_summaries(pc))[0]
 
 
 def szeged_cut(pc: PartialCube) -> int:
     """Szeged index as the sum of |E_j| * n1 * n2 over the Theta classes."""
-    total = 0
-    for s in cut_class_summaries(pc):
-        total += s.size * s.n1 * s.n2
-    return check_u64(total, "Szeged index")
+    return indices_from_rows(cut_class_summaries(pc))[1]
 
 
 def wiener_via_partition(pc: PartialCube, cp: CoarserPartition) -> int:
-    """Wiener index as the sum of weighted Wiener indices of the quotients."""
-    total = 0
-    for i in range(cp.group_count):
-        wq = build_quotient(pc, cp, i)
-        total += wiener_weighted(VertexWeightedGraph(wq.quotient, wq.vertex_weight))
-    return check_u64(total, "Wiener index")
+    """Wiener index summed over the classes of the quotients of a coarser partition."""
+    return indices_from_rows(partition_rows(pc, cp))[0]
 
 
 def szeged_via_partition(pc: PartialCube, cp: CoarserPartition) -> int:
-    """Szeged index as the sum of weighted Szeged indices of the quotients."""
-    total = 0
-    for i in range(cp.group_count):
-        wq = build_quotient(pc, cp, i)
-        total += szeged_weighted(
-            VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)
-        )
-    return check_u64(total, "Szeged index")
+    """Szeged index summed over the classes of the quotients of a coarser partition."""
+    return indices_from_rows(partition_rows(pc, cp))[1]

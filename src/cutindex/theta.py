@@ -18,7 +18,7 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,14 +119,13 @@ class PartialCube:
 
     labels[v] is an r-bit integer; bit j is v's coordinate for class j, and 0
     marks the component of the cut along class j that contains the
-    lower-numbered endpoint of the class's smallest-index edge.
-    side_assignment[j] holds that bipartition as (bit-0 side, bit-1 side).
+    lower-numbered endpoint of the class's smallest-index edge, so bit j
+    alone gives the two sides of that cut (see class_sides).
     """
 
     graph: Graph
     theta: ThetaPartition
     labels: tuple[int, ...]
-    side_assignment: tuple[tuple[frozenset[int], frozenset[int]], ...] = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -176,10 +175,9 @@ class RecognitionWitness:
         if self.kind == "hamming_violation":
             if self.pair is None:
                 return False
-            labelling = _cut_labelling(g, theta_star_classes(g))
-            if isinstance(labelling, RecognitionWitness):
+            labels = _cut_labelling(g, theta_star_classes(g))
+            if isinstance(labels, RecognitionWitness):
                 return False
-            labels, _ = labelling
             u, v = self.pair
             d = int(distance_matrix(g)[u, v])
             return (labels[u] ^ labels[v]).bit_count() != d
@@ -187,18 +185,16 @@ class RecognitionWitness:
 
 
 def _cut_labelling(g: Graph, theta: ThetaPartition):
-    """Canonical per-vertex coordinates and sides from the class cuts.
+    """Canonical per-vertex coordinates from the class cuts.
 
-    Returns (labels, sides): labels[v] carries bit j for class j, set on the
-    side of the cut away from the lower endpoint of the class's smallest
-    edge, and sides[j] is (bit-0 side, bit-1 side).  When some class cut does
-    not leave exactly two components, no labelling is defined and the first
-    such class comes back as a "bad_class_cut" RecognitionWitness instead.
+    labels[v] carries bit j for class j, set on the side of the cut away
+    from the lower endpoint of the class's smallest edge.  When some class
+    cut does not leave exactly two components, no labelling is defined and
+    the first such class comes back as a "bad_class_cut" RecognitionWitness
+    instead.
     """
     n = g.vertex_count
-    everyone = frozenset(range(n))
     labels = [0] * n
-    sides: list[tuple[frozenset[int], frozenset[int]]] = []
     for j, cls in enumerate(theta.classes):
         comp, count = component_labels(g, cls)
         if count != 2:
@@ -208,12 +204,10 @@ def _cut_labelling(g: Graph, theta: ThetaPartition):
         a, b = g.edges[cls[0]]
         zero_side = comp[min(a, b)]
         bit = 1 << j
-        ones = [x for x in range(n) if comp[x] != zero_side]
-        for x in ones:
-            labels[x] |= bit
-        one_set = frozenset(ones)
-        sides.append((everyone - one_set, one_set))
-    return labels, sides
+        for x in range(n):
+            if comp[x] != zero_side:
+                labels[x] |= bit
+    return labels
 
 
 def recognize_partial_cube(g: Graph):
@@ -233,21 +227,15 @@ def recognize_partial_cube(g: Graph):
         return RecognitionWitness(kind="odd_cycle", odd_cycle=tuple(odd))
 
     theta = theta_star_classes(g, d)
-    labelling = _cut_labelling(g, theta)
-    if isinstance(labelling, RecognitionWitness):
-        return labelling
-    labels, sides = labelling
+    labels = _cut_labelling(g, theta)
+    if isinstance(labels, RecognitionWitness):
+        return labels
 
     bad = _hamming_mismatch(labels, theta.class_count, d)
     if bad is not None:
         return RecognitionWitness(kind="hamming_violation", pair=bad)
 
-    return PartialCube(
-        graph=g,
-        theta=theta,
-        labels=tuple(labels),
-        side_assignment=tuple(sides),
-    )
+    return PartialCube(graph=g, theta=theta, labels=tuple(labels))
 
 
 def _hamming_mismatch(labels: list[int], r: int, d: np.ndarray):
@@ -277,11 +265,13 @@ def class_sides(pc: PartialCube, class_index: int):
     """The two sides of the cut along one class, plus the class size.
 
     N1 is the side containing the lower-numbered endpoint of the class's
-    smallest-index edge; N1 and N2 partition the vertex set.
+    smallest-index edge (bit class_index of the label is 0 there); N1 and N2
+    partition the vertex set.
     """
     if not 0 <= class_index < pc.theta.class_count:
         raise GraphError(
             f"class index {class_index} out of range [0,{pc.theta.class_count})"
         )
-    n1, n2 = pc.side_assignment[class_index]
+    n2 = frozenset(v for v, x in enumerate(pc.labels) if x >> class_index & 1)
+    n1 = frozenset(range(pc.graph.vertex_count)) - n2
     return n1, n2, len(pc.theta.classes[class_index])

@@ -1,117 +1,83 @@
 """Linear-time weighted Wiener and Szeged indices of trees.
 
-Removing an edge of a tree leaves exactly two components, so both indices
-reduce to one product per edge: the weight sums of the two sides.  A single
-bottom-up pass over a rooted order computes every subtree weight, which is
-one side of every such cut; the other side is the total minus it.
+Removing an edge of a tree leaves exactly two components, so a tree is the
+simplest row producer of the cut method: each edge e is a cut with one row
+(e, w_e, n1, n2), where n1 and n2 are the weight sums of the two sides, and
+indices_from_rows sums those rows into both indices.
 
-The pass visits vertices in reverse BFS order from the root (every vertex is
-visited after everything in its subtree), keeps a running weight w(y) that
-ends up holding y's subtree weight, and accumulates partial sums s(y) up the
-tree; s(root) is the index.  Both evaluators share the pass; the Wiener
-variant is the edge-weight-free special case.
+One rooted BFS from vertex 0 both validates the tree and orders it; a
+bottom-up pass in reverse BFS order (every vertex after everything in its
+subtree) then keeps a running weight that ends up holding each vertex's
+subtree weight, which is one side of the cut along its parent edge; the
+other side is the total minus it.  The evaluators stream these rows as plain
+tuples; tree_cut_rows returns them as CutRows in edge order.  The quadratic
+weighted evaluators in indices are the oracle they are checked against.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .core import Graph, GraphError, check_u64
-from .indices import VertexEdgeWeightedGraph, VertexWeightedGraph
+from .core import Graph, GraphError
+from .indices import CutRow, VertexEdgeWeightedGraph, VertexWeightedGraph, indices_from_rows
 
 
-def _rooted_order(g: Graph, root: int):
-    """BFS order, parent vertex and parent edge arrays for a tree."""
+def _tree_cuts(g: Graph, weights, edge_weights):
+    """Yield (edge, w_e, subtree side, rest) for every edge of the tree g.
+
+    Raises GraphError, before the first row, unless g is a tree.
+    edge_weights of None gives every edge weight 1.
+    """
     n = g.vertex_count
-    order = [root]
+    if n == 0:
+        raise GraphError("not a tree: empty graph")
+    if g.edge_count != n - 1:
+        raise GraphError(f"not a tree: {n} vertices but {g.edge_count} edges")
+    adjacency = g.adjacency
     parent = [-1] * n
     parent_edge = [-1] * n
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, k in g.adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
+    parent[0] = 0  # the root counts as seen
+    order = [0]
+    for x in order:  # order grows while it is walked
+        for y, k in adjacency[x]:
+            if parent[y] == -1:
                 parent[y] = x
                 parent_edge[y] = k
                 order.append(y)
-                queue.append(y)
-    return order, parent, parent_edge
-
-
-def _require_tree(g: Graph) -> None:
-    if g.vertex_count == 0:
-        raise GraphError("not a tree: empty graph")
-    if g.edge_count != g.vertex_count - 1:
-        raise GraphError(
-            f"not a tree: {g.vertex_count} vertices but {g.edge_count} edges"
-        )
-    order, _, _ = _rooted_order(g, 0)
-    if len(order) != g.vertex_count:
+    if len(order) != n:
         raise GraphError("not a tree: graph is disconnected")
 
-
-def _tree_dp(g: Graph, weights, edge_weights, root: int = 0):
-    """One bottom-up pass; returns s(root).
-
-    edge_weights of None means the factor-free Wiener variant.
-    """
-    order, parent, parent_edge = _rooted_order(g, root)
     w = list(weights)
-    s = [0] * g.vertex_count
-    total = sum(weights)
-    for y in reversed(order):
-        if y == root:
-            continue
+    total = sum(w)
+    for i in range(n - 1, 0, -1):
+        y = order[i]
         e = parent_edge[y]
-        n1 = w[y]
-        n2 = total - n1
-        term = n1 * n2 if edge_weights is None else edge_weights[e] * n1 * n2
-        sy = s[y] + term
-        p = parent[y]
-        s[p] += sy
-        w[p] += n1
-    return s[root]
+        side = w[y]
+        yield e, 1 if edge_weights is None else edge_weights[e], side, total - side
+        w[parent[y]] += side
 
 
-def wiener_tree_linear(t: VertexWeightedGraph, assert_tree: bool = True):
+def wiener_tree_linear(t: VertexWeightedGraph):
     """Weighted Wiener index of a tree as the sum of per-edge side products.
 
-    One O(n) pass; equals the quadratic weighted definition.  assert_tree
-    skips the (also linear) tree validation when the caller has already
-    established the shape.
+    One O(n) pass; equals the quadratic weighted definition.
     """
-    if assert_tree:
-        _require_tree(t.graph)
-    if t.graph.vertex_count == 0:
-        raise GraphError("not a tree: empty graph")
-    return check_u64(_tree_dp(t.graph, t.w, None), "weighted Wiener index")
+    return indices_from_rows(_tree_cuts(t.graph, t.w, None), weighted=True)[0]
 
 
 def szeged_tree_linear(t: VertexEdgeWeightedGraph):
-    """Weighted Szeged index of a tree in one O(n) bottom-up pass."""
-    _require_tree(t.graph)
-    return check_u64(_tree_dp(t.graph, t.w, t.w_edge), "weighted Szeged index")
+    """Weighted Szeged index of a tree in one O(n) pass.
 
-
-def tree_cut_rows(t: VertexEdgeWeightedGraph) -> list[tuple[int, object, object]]:
-    """Per-edge cut sides of a tree: (edge index, subtree-side sum, rest).
-
-    Diagnostic companion to the evaluators (same pass, rows instead of the
-    accumulated total), ordered by edge index.
+    Both sums of the pass are range-checked, so a weighted Wiener index past
+    2^64 - 1 raises here too.
     """
-    _require_tree(t.graph)
-    g = t.graph
-    order, parent, parent_edge = _rooted_order(g, 0)
-    w = list(t.w)
-    total = sum(t.w)
-    rows: list[tuple[int, object, object]] = [None] * g.edge_count  # type: ignore[list-item]
-    for y in reversed(order):
-        if y == 0:
-            continue
-        e = parent_edge[y]
-        rows[e] = (e, w[y], total - w[y])
-        w[parent[y]] += w[y]
+    return indices_from_rows(_tree_cuts(t.graph, t.w, t.w_edge), weighted=True)[1]
+
+
+def tree_cut_rows(t: VertexEdgeWeightedGraph) -> list[CutRow]:
+    """The tree route's rows: CutRow(edge, w_e, subtree side, rest) per edge.
+
+    The same pass as the evaluators, ordered by edge index.
+    """
+    rows = [None] * t.graph.edge_count
+    for e, size, n1, n2 in _tree_cuts(t.graph, t.w, t.w_edge):
+        rows[e] = CutRow(e, size, n1, n2)
     return rows

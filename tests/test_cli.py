@@ -122,13 +122,29 @@ def test_index_missing_file_exit_2(tmp_path):
     assert main(["index", str(tmp_path / "nope.graph")]) == 2
 
 
-def test_index_overflow_exit_4(tmp_path):
+def test_index_overflow_exit_4(tmp_path, capsys):
     # K2 with astronomically many implicit... not constructible; force via
     # tree-index on weights beyond the 64-bit accumulator contract instead.
     big = 2**63
     text = f"p 2 1\ne 0 1\nwv 0 {big}\nwv 1 {big}\n"
     rc = main(["tree-index", _write(tmp_path, "big.graph", text)])
     assert rc == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: weighted Wiener index 85070591730234615865843651857942052864"
+        " exceeds unsigned 64-bit range\n"
+    )
+
+
+def test_tree_index_szeged_overflow_wording(tmp_path, capsys):
+    # The Wiener index fits; only the edge weight pushes the Szeged index over.
+    text = f"p 2 1\ne 0 1\nwv 0 {2**32}\nwv 1 {2**31}\nwe 0 {2**40}\n"
+    assert main(["tree-index", _write(tmp_path, "bigsz.graph", text)]) == 4
+    assert capsys.readouterr().err == (
+        "error: weighted Szeged index 10141204801825835211973625643008"
+        " exceeds unsigned 64-bit range\n"
+    )
 
 
 def test_index_direction_requires_cell_file(tmp_path):
@@ -171,6 +187,129 @@ def test_index_cell_file_all_methods_agree(tmp_path, capsys):
 def test_index_invalid_cells_exit_2(tmp_path):
     rc = main(["index", _write(tmp_path, "bad.cells", "t c4c8\nc 0 0\nc 2 2\n")])
     assert rc == 2
+
+
+_C4C8_RING = "t c4c8\n" + "".join(
+    f"c {i} {j}\n" for i in range(3) for j in range(3) if (i, j) != (1, 1)
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_C4C8_RING, "cell set encloses a hole at (1, 1); not a bounded system"),
+        ("t c4c8\nc 0 0\nc 2 2\n", "disconnected cells: (2, 2) unreachable from (0, 0)"),
+    ],
+    ids=["hole", "disconnected"],
+)
+@pytest.mark.parametrize(
+    "route",
+    [
+        ["--method", "brute"],
+        ["--method", "cut"],
+        ["--method", "partition"],
+        ["--method", "partition", "--partition", "coarsest"],
+        ["--method", "partition", "--partition", "direction"],
+        ["--method", "partition", "--partition", "direction", "--verbose", "--json"],
+    ],
+)
+def test_index_invalid_c4c8_cells_same_error_on_every_route(tmp_path, capsys, text, message, route):
+    path = _write(tmp_path, "bad.cells", text)
+    assert main(["index", path] + route) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: line 1: {message}\n"
+
+
+_C4C8_L3 = "t c4c8\nc 0 0\nc 1 0\nc 1 1\n"
+_BENZENOID_4 = "t benzenoid\nc 0 0\nc 1 0\nc 0 1\nc 2 0\n"
+_Q3 = "p 8 12\n" + "".join(
+    f"e {v} {v ^ 1 << b}\n" for v in range(8) for b in range(3) if v ^ 1 << b > v
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, partition, expected, expected_json",
+    [
+        (
+            "l3.cells",
+            _C4C8_L3,
+            "direction",
+            "wiener=730\n"
+            "szeged=1642\n"
+            "class=0 size=3 n1=13 n2=7 wiener_term=91 szeged_term=273\n"
+            "class=1 size=2 n1=16 n2=4 wiener_term=64 szeged_term=128\n"
+            "class=2 size=2 n1=16 n2=4 wiener_term=64 szeged_term=128\n"
+            "class=3 size=2 n1=16 n2=4 wiener_term=64 szeged_term=128\n"
+            "class=4 size=2 n1=4 n2=16 wiener_term=64 szeged_term=128\n"
+            "class=5 size=2 n1=10 n2=10 wiener_term=100 szeged_term=200\n"
+            "class=6 size=2 n1=4 n2=16 wiener_term=64 szeged_term=128\n"
+            "class=7 size=2 n1=4 n2=16 wiener_term=64 szeged_term=128\n"
+            "class=8 size=2 n1=4 n2=16 wiener_term=64 szeged_term=128\n"
+            "class=9 size=3 n1=7 n2=13 wiener_term=91 szeged_term=273\n",
+            '{"command": "index", "method": "partition", "partition": "direction",'
+            ' "wiener": 730, "szeged": 1642, "classes": [{'
+            '"class": 0, "size": 3, "n1": 13, "n2": 7, "wiener_term": 91, "szeged_term": 273}, {'
+            '"class": 1, "size": 2, "n1": 16, "n2": 4, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 2, "size": 2, "n1": 16, "n2": 4, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 3, "size": 2, "n1": 16, "n2": 4, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 4, "size": 2, "n1": 4, "n2": 16, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 5, "size": 2, "n1": 10, "n2": 10, "wiener_term": 100, "szeged_term": 200}, {'
+            '"class": 6, "size": 2, "n1": 4, "n2": 16, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 7, "size": 2, "n1": 4, "n2": 16, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 8, "size": 2, "n1": 4, "n2": 16, "wiener_term": 64, "szeged_term": 128}, {'
+            '"class": 9, "size": 3, "n1": 7, "n2": 13, "wiener_term": 91, "szeged_term": 273}]}\n',
+        ),
+        (
+            "four.cells",
+            _BENZENOID_4,
+            "direction",
+            "wiener=440\n"
+            "szeged=1152\n"
+            "class=0 size=4 n1=7 n2=10 wiener_term=70 szeged_term=280\n"
+            "class=1 size=3 n1=5 n2=12 wiener_term=60 szeged_term=180\n"
+            "class=2 size=2 n1=3 n2=14 wiener_term=42 szeged_term=84\n"
+            "class=3 size=2 n1=14 n2=3 wiener_term=42 szeged_term=84\n"
+            "class=4 size=3 n1=8 n2=9 wiener_term=72 szeged_term=216\n"
+            "class=5 size=2 n1=10 n2=7 wiener_term=70 szeged_term=140\n"
+            "class=6 size=2 n1=14 n2=3 wiener_term=42 szeged_term=84\n"
+            "class=7 size=2 n1=14 n2=3 wiener_term=42 szeged_term=84\n",
+            '{"command": "index", "method": "partition", "partition": "direction",'
+            ' "wiener": 440, "szeged": 1152, "classes": [{'
+            '"class": 0, "size": 4, "n1": 7, "n2": 10, "wiener_term": 70, "szeged_term": 280}, {'
+            '"class": 1, "size": 3, "n1": 5, "n2": 12, "wiener_term": 60, "szeged_term": 180}, {'
+            '"class": 2, "size": 2, "n1": 3, "n2": 14, "wiener_term": 42, "szeged_term": 84}, {'
+            '"class": 3, "size": 2, "n1": 14, "n2": 3, "wiener_term": 42, "szeged_term": 84}, {'
+            '"class": 4, "size": 3, "n1": 8, "n2": 9, "wiener_term": 72, "szeged_term": 216}, {'
+            '"class": 5, "size": 2, "n1": 10, "n2": 7, "wiener_term": 70, "szeged_term": 140}, {'
+            '"class": 6, "size": 2, "n1": 14, "n2": 3, "wiener_term": 42, "szeged_term": 84}, {'
+            '"class": 7, "size": 2, "n1": 14, "n2": 3, "wiener_term": 42, "szeged_term": 84}]}\n',
+        ),
+        (
+            "q3.graph",
+            _Q3,
+            "coarsest",
+            "wiener=48\n"
+            "szeged=192\n"
+            "class=0 size=4 n1=4 n2=4 wiener_term=16 szeged_term=64\n"
+            "class=1 size=4 n1=4 n2=4 wiener_term=16 szeged_term=64\n"
+            "class=2 size=4 n1=4 n2=4 wiener_term=16 szeged_term=64\n",
+            '{"command": "index", "method": "partition", "partition": "coarsest",'
+            ' "wiener": 48, "szeged": 192, "classes": [{'
+            '"class": 0, "size": 4, "n1": 4, "n2": 4, "wiener_term": 16, "szeged_term": 64}, {'
+            '"class": 1, "size": 4, "n1": 4, "n2": 4, "wiener_term": 16, "szeged_term": 64}, {'
+            '"class": 2, "size": 4, "n1": 4, "n2": 4, "wiener_term": 16, "szeged_term": 64}]}\n',
+        ),
+    ],
+    ids=["c4c8-direction", "benzenoid-direction", "q3-coarsest"],
+)
+def test_index_verbose_stdout_pinned(tmp_path, capsys, name, text, partition, expected, expected_json):
+    argv = ["index", _write(tmp_path, name, text), "--method", "partition",
+            "--partition", partition, "--verbose"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == expected_json
 
 
 def test_recognize_q3(tmp_path, capsys):

@@ -3,7 +3,16 @@ import random
 import pytest
 
 import cutindex as ci
-from helpers import cycle, hypercube, path, random_coarser, random_tree, random_weights
+from helpers import (
+    cycle,
+    hypercube,
+    path,
+    random_benzenoid,
+    random_c4c8,
+    random_coarser,
+    random_tree,
+    random_weights,
+)
 
 
 def test_wiener_brute_values():
@@ -168,3 +177,83 @@ def test_float_weights_supported():
     g = path(3)
     got = ci.wiener_weighted(ci.VertexWeightedGraph(g, [0.5, 1.0, 0.5]))
     assert got == pytest.approx(0.5 * 1 + 0.5 * 0.5 * 2 + 1 * 0.5)
+
+
+def test_indices_from_rows_empty():
+    assert ci.indices_from_rows([]) == (0, 0)
+    assert ci.indices_from_rows(iter(())) == (0, 0)
+
+
+def test_indices_from_rows_overflow():
+    # n1 * n2 = 2^64 leaves the range; the Wiener sum is checked first.
+    with pytest.raises(ci.IndexOverflowError, match="^Wiener index 18446744073709551616 "):
+        ci.indices_from_rows([ci.CutRow(0, 1, 2**32, 2**32)])
+    # The Wiener sum 2^63 fits, the Szeged sum 2^64 does not.
+    with pytest.raises(ci.IndexOverflowError, match="^Szeged index 18446744073709551616 "):
+        ci.indices_from_rows([(0, 2, 2**32, 2**31)])
+    with pytest.raises(ci.IndexOverflowError, match="^weighted Szeged index "):
+        ci.indices_from_rows([(0, 2, 2**32, 2**31)], weighted=True)
+    # The largest representable value is accepted.
+    assert ci.indices_from_rows([(0, 1, 2**64 - 1, 1)]) == (2**64 - 1, 2**64 - 1)
+
+
+def _row_sums(rows):
+    return sum(r.n1 * r.n2 for r in rows), sum(r.size * r.n1 * r.n2 for r in rows)
+
+
+def test_indices_from_rows_equals_each_route_sum():
+    rng = random.Random(13)
+    for g in (hypercube(4), cycle(12), random_tree(rng, 30)):
+        pc = ci.recognize_partial_cube(g)
+        expected = (ci.wiener_brute(g), ci.szeged_brute(g))
+        cut = ci.cut_class_summaries(pc)
+        assert all(isinstance(r, ci.CutRow) for r in cut)
+        assert ci.indices_from_rows(cut) == _row_sums(cut) == expected
+        for cp in (ci.finest_partition(pc.theta), ci.coarsest_partition(pc.theta),
+                   random_coarser(rng, pc.theta)):
+            rows = ci.partition_rows(pc, cp)
+            assert rows == cut
+            assert ci.indices_from_rows(rows) == expected
+
+    g = random_tree(rng, 40)
+    t = ci.VertexEdgeWeightedGraph(g, random_weights(rng, 40), random_weights(rng, 39))
+    rows = ci.tree_cut_rows(t)
+    assert ci.indices_from_rows(rows) == _row_sums(rows) == (
+        ci.wiener_weighted(ci.VertexWeightedGraph(g, t.w)),
+        ci.szeged_weighted(t),
+    )
+
+    spec = ci.C4C8Spec([(0, 0), (1, 0), (1, 1), (2, 1)])
+    wiener, szeged, rows = ci.c4c8_report(spec)
+    assert [r.class_index for r in rows] == list(range(len(rows)))
+    assert ci.indices_from_rows(rows) == _row_sums(rows) == (wiener, szeged)
+    g, _, _ = ci.build_c4c8(spec)
+    assert (wiener, szeged) == (ci.wiener_brute(g), ci.szeged_brute(g))
+
+
+def _weighted_quotient_sums(pc, cp):
+    wiener = szeged = 0
+    for i in range(cp.group_count):
+        wq = ci.build_quotient(pc, cp, i)
+        wiener += ci.wiener_weighted(ci.VertexWeightedGraph(wq.quotient, wq.vertex_weight))
+        szeged += ci.szeged_weighted(
+            ci.VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)
+        )
+    return wiener, szeged
+
+
+def test_weighted_quotient_indices_sum_to_graph_indices():
+    # The partition theorem itself, checked with the brute weighted evaluators
+    # (the partition route reads rows off the quotients instead).
+    rng = random.Random(17)
+    graphs = [hypercube(4), cycle(12)]
+    graphs += [random_tree(rng, rng.randint(2, 25)) for _ in range(4)]
+    graphs += [ci.build_c4c8(random_c4c8(rng, 6))[0] for _ in range(3)]
+    graphs += [ci.build_benzenoid(random_benzenoid(rng, 5))[0] for _ in range(3)]
+    for g in graphs:
+        pc = ci.recognize_partial_cube(g)
+        expected = (ci.wiener_brute(g), ci.szeged_brute(g))
+        partitions = [ci.finest_partition(pc.theta), ci.coarsest_partition(pc.theta)]
+        partitions += [random_coarser(rng, pc.theta) for _ in range(3)]
+        for cp in partitions:
+            assert _weighted_quotient_sums(pc, cp) == expected

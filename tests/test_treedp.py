@@ -3,7 +3,6 @@ import random
 import pytest
 
 import cutindex as ci
-from cutindex.treedp import _tree_dp
 from helpers import cycle, path, random_tree, random_weights
 
 
@@ -58,13 +57,25 @@ def test_unit_weights_match_brute():
 
 
 def test_root_independence():
+    # The pass roots the tree at vertex 0; swapping labels 0 and r roots it at r.
     rng = random.Random(41)
-    g = random_tree(rng, 25)
-    w = random_weights(rng, 25)
-    we = random_weights(rng, 24)
-    reference = _tree_dp(g, w, we, root=0)
-    for root in range(1, 25):
-        assert _tree_dp(g, w, we, root=root) == reference
+    n = 25
+    g = random_tree(rng, n)
+    w = random_weights(rng, n)
+    we = random_weights(rng, n - 1)
+    reference = (
+        ci.wiener_tree_linear(ci.VertexWeightedGraph(g, w)),
+        ci.szeged_tree_linear(ci.VertexEdgeWeightedGraph(g, w, we)),
+    )
+    for root in range(1, n):
+        perm = list(range(n))
+        perm[0], perm[root] = root, 0
+        g2 = ci.build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        w2 = [w[perm[v]] for v in range(n)]
+        assert (
+            ci.wiener_tree_linear(ci.VertexWeightedGraph(g2, w2)),
+            ci.szeged_tree_linear(ci.VertexEdgeWeightedGraph(g2, w2, we)),
+        ) == reference
 
 
 def test_relabeling_invariance():
@@ -99,18 +110,48 @@ def test_not_a_tree_errors():
         ci.szeged_tree_linear(ci.VertexEdgeWeightedGraph(bad, [1] * 5, [1] * 4))
 
 
-def test_assert_tree_flag_skips_validation():
-    g = path(5)
-    gw = ci.VertexWeightedGraph(g, [1] * 5)
-    assert ci.wiener_tree_linear(gw, assert_tree=False) == ci.wiener_brute(g)
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, [], "not a tree: empty graph"),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "not a tree: 4 vertices but 4 edges"),
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], "not a tree: graph is disconnected"),
+    ],
+)
+def test_not_a_tree_messages_pinned(n, edges, message):
+    g = ci.build_graph(n, edges)
+    gww = ci.VertexEdgeWeightedGraph(g, [1] * n, [1] * len(edges))
+    for evaluate in (
+        lambda: ci.wiener_tree_linear(ci.VertexWeightedGraph(g, [1] * n)),
+        lambda: ci.szeged_tree_linear(gww),
+        lambda: ci.tree_cut_rows(gww),
+    ):
+        with pytest.raises(ci.GraphError) as err:
+            evaluate()
+        assert str(err.value) == message
 
 
 def test_tree_cut_rows():
+    # Rooted at vertex 0: n1 is the side away from the root, size the edge weight.
     t = ci.VertexEdgeWeightedGraph(path(4), (4, 10, 10, 4), (2, 3, 2))
     rows = ci.tree_cut_rows(t)
-    assert [(e, min(a, b), max(a, b)) for e, a, b in rows] == [
-        (0, 4, 24),
-        (1, 14, 14),
-        (2, 4, 24),
+    assert rows == [
+        ci.CutRow(class_index=0, size=2, n1=24, n2=4),
+        ci.CutRow(class_index=1, size=3, n1=14, n2=14),
+        ci.CutRow(class_index=2, size=2, n1=4, n2=24),
     ]
-    assert sum(we * a * b for (e, a, b), we in zip(rows, t.w_edge)) == 972
+    assert ci.indices_from_rows(rows) == (388, 972)
+
+
+def test_tree_cut_rows_ordered_by_edge_index():
+    rng = random.Random(47)
+    g = random_tree(rng, 40)
+    t = ci.VertexEdgeWeightedGraph(g, random_weights(rng, 40), random_weights(rng, 39))
+    rows = ci.tree_cut_rows(t)
+    assert [r.class_index for r in rows] == list(range(39))
+    assert [r.size for r in rows] == list(t.w_edge)
+    assert all(r.n1 + r.n2 == sum(t.w) for r in rows)
+    assert ci.indices_from_rows(rows) == (
+        ci.wiener_tree_linear(ci.VertexWeightedGraph(g, t.w)),
+        ci.szeged_tree_linear(t),
+    )
