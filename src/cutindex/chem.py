@@ -7,24 +7,33 @@ axis-parallel edge; the square faces of the net appear automatically between
 four mutually adjacent octagons.  Cell sets must be connected under side
 adjacency and must not enclose holes: a system is the full interior of its
 boundary cycle, so a cell set with an interior gap describes no such system
-(and the tree-quotient structure below genuinely fails on it).
+(and the tree-quotient structure below genuinely fails on it).  A spec is
+validated when it is made.
 
 Benzenoid systems are modeled the same way on the hexagonal net, with cell
 (a,b) centered at (2a+b, 3b) in a stretched integer embedding.
 
+Both kinds are assembled by one face join.  Each spec lists its bounded
+faces by center and corner offsets: the octagons plus every square all four
+of whose octagons exist, or the hexagons.  An elementary cut crosses a bounded
+face by entering through one side and leaving through the opposite one
+(octagon a~a+4, square a~a+2, hexagon a~a+3), so the pass that numbers the
+face sides also links opposite sides, and the chains of those links are the
+edge classes: no distance matrix, O(cells) work.
+
 Every edge gets a direction tag from its displacement: H, V, D+ or D- for
 C4C8 (three of these for benzenoids).  Grouping the edge classes by tag gives
-the direction partition, whose quotients for C4C8 systems are trees; the
-index pipeline builds those weighted trees straight from the cell geometry
-(edge classes come from walking elementary cuts, never from a distance
-matrix) and evaluates them with the linear tree pass, so the whole run is
-O(n).
+the direction partition, whose quotients are trees; for C4C8 systems the
+index pipeline evaluates those weighted trees with the linear tree pass, so
+the whole run is O(n).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Graph, GraphError, build_graph
 from .indices import VertexEdgeWeightedGraph, indices_from_rows
@@ -33,6 +42,7 @@ from .theta import ThetaPartition
 from .treedp import tree_cut_rows
 
 OCTAGON_OFFSETS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
+SQUARE_OFFSETS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 HEXAGON_OFFSETS = ((0, 2), (1, 1), (1, -1), (0, -2), (-1, -1), (-1, 1))
 
 _SQUARE_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -48,14 +58,6 @@ def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
     if dx == 0:
         return "V"
     return "D+" if dx * dy > 0 else "D-"
-
-
-def _normalize_cells(cells) -> frozenset[tuple[int, int]]:
-    out = set()
-    for c in cells:
-        i, j = c
-        out.add((int(i), int(j)))
-    return frozenset(out)
 
 
 def _check_cells(cells, neighbors, complement, kind: str) -> None:
@@ -99,186 +101,147 @@ def _check_cells(cells, neighbors, complement, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class C4C8Spec:
+class _CellSpec:
+    """A validated cell set; subclasses give the net and its bounded faces."""
+
+    cells: frozenset[tuple[int, int]]
+
+    def __init__(self, cells):
+        cells = frozenset((int(i), int(j)) for i, j in cells)
+        _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._KIND)
+        object.__setattr__(self, "cells", cells)
+
+
+class C4C8Spec(_CellSpec):
     """Octagon cells of a C4C8 system on the truncated-square net."""
 
-    cells: frozenset[tuple[int, int]]
+    _KIND, _NEIGHBORS, _COMPLEMENT = "C4C8", _SQUARE_NEIGHBORS, _SQUARE_COMPLEMENT
 
-    def __init__(self, cells):
-        object.__setattr__(self, "cells", _normalize_cells(cells))
+    def faces(self):
+        """(centers, corner offsets) of the octagons and of the squares they surround."""
+        cells = self.cells
+        squares = [
+            (i, j) for i, j in cells
+            if (i + 1, j) in cells and (i, j + 1) in cells and (i + 1, j + 1) in cells
+        ]
+        return [
+            ([(4 * i, 4 * j) for i, j in cells], OCTAGON_OFFSETS),
+            ([(4 * i + 2, 4 * j + 2) for i, j in squares], SQUARE_OFFSETS),
+        ]
 
-    def validate(self) -> None:
-        _check_cells(self.cells, _SQUARE_NEIGHBORS, _SQUARE_COMPLEMENT, "C4C8")
 
-
-@dataclass(frozen=True)
-class BenzenoidSpec:
+class BenzenoidSpec(_CellSpec):
     """Hexagon cells (axial coordinates) of a benzenoid system."""
 
-    cells: frozenset[tuple[int, int]]
+    _KIND, _NEIGHBORS, _COMPLEMENT = "benzenoid", _HEX_NEIGHBORS, _HEX_NEIGHBORS
 
-    def __init__(self, cells):
-        object.__setattr__(self, "cells", _normalize_cells(cells))
-
-    def validate(self) -> None:
-        _check_cells(self.cells, _HEX_NEIGHBORS, _HEX_NEIGHBORS, "benzenoid")
+    def faces(self):
+        """(centers, corner offsets) of the hexagons."""
+        return [([(2 * a + b, 3 * b) for a, b in self.cells], HEXAGON_OFFSETS)]
 
 
-def _assemble(cells, center_of, offsets):
-    """Deduplicate cell boundary vertices/edges into a Graph plus geometry."""
-    edge_pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for cell in cells:
-        cx, cy = center_of(cell)
-        pts = [(cx + ox, cy + oy) for ox, oy in offsets]
-        for a in range(len(pts)):
-            p, q = pts[a], pts[(a + 1) % len(pts)]
-            edge_pairs.add((p, q) if p < q else (q, p))
-    coords = sorted({p for pair in edge_pairs for p in pair})
-    vid = {p: ix for ix, p in enumerate(coords)}
-    pairs = sorted(edge_pairs)
-    g = build_graph(len(coords), [(vid[p], vid[q]) for p, q in pairs])
-    tags = tuple(direction_tag(p, q) for p, q in pairs)
-    edge_index = {pair: k for k, pair in enumerate(pairs)}
-    return g, tags, tuple(coords), edge_index
+def _assemble(spec):
+    """Graph, direction tags, coordinates and side links of a cell system."""
+    (ox, oy), points, edges, links = _face_join(spec.faces())
+    x, y = points.T
+    u, v = edges.T
+    steps, step_of = np.unique(
+        np.stack([x[v] - x[u], y[v] - y[u]], axis=1), axis=0, return_inverse=True
+    )
+    names = np.array([direction_tag((0, 0), step) for step in steps.tolist()])
+    tags = tuple(names[step_of.ravel()].tolist())
+    g = build_graph(len(points), zip(u.tolist(), v.tolist()))
+    coords = tuple((a + ox, b + oy) for a, b in zip(x.tolist(), y.tolist()))
+    return g, tags, coords, links
 
 
-def _octagon_center(cell):
-    return 4 * cell[0], 4 * cell[1]
+def _face_join(groups):
+    """Number the corners and sides of the faces and link opposite sides.
 
+    groups holds (centers, corner offsets) per face size.  Returns the first
+    center as the origin, the distinct corners relative to it in sorted
+    coordinate order, the edges (face sides) as corner-index pairs in sorted
+    coordinate-pair order, and the links: side a of a k-gon links to the
+    opposite side a + k/2, and links[e] holds the edges edge e links to, one
+    per bounded face it lies on, -1 in an unused slot.  Relative points keep
+    any cell coordinates within int64.
+    """
+    ox, oy = groups[0][0][0]
+    faces = [
+        np.asarray([(x - ox, y - oy) for x, y in centers], dtype=np.int64).reshape(-1, 1, 2)
+        + np.asarray(offsets, dtype=np.int64)
+        for centers, offsets in groups
+    ]
+    flat = np.concatenate([f.reshape(-1, 2) for f in faces])
+    (x0, y0), y1 = flat.min(axis=0), flat[:, 1].max()
+    span = int(y1 - y0) + 1
+    keys = [(f[..., 0] - x0) * span + (f[..., 1] - y0) for f in faces]
+    point_keys = np.unique(np.concatenate([k.ravel() for k in keys]))
+    n = len(point_keys)
+    side_keys = []
+    for k in keys:
+        a = np.searchsorted(point_keys, k)
+        b = np.roll(a, -1, axis=1)
+        side_keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    edge_keys = np.unique(np.concatenate([s.ravel() for s in side_keys]))
+    sides = [np.searchsorted(edge_keys, s) for s in side_keys]
 
-def _hexagon_center(cell):
-    a, b = cell
-    return 2 * a + b, 3 * b
+    near = np.concatenate([s[:, : s.shape[1] // 2].ravel() for s in sides])
+    far = np.concatenate([s[:, s.shape[1] // 2 :].ravel() for s in sides])
+    src, dst = np.concatenate([near, far]), np.concatenate([far, near])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    slot = np.zeros(len(src), dtype=np.intp)
+    slot[1:] = src[1:] == src[:-1]
+    links = np.full((len(edge_keys), 2), -1, dtype=np.intp)
+    links[src, slot] = dst
+
+    points = np.stack([point_keys // span + x0, point_keys % span + y0], axis=1)
+    edges = np.stack([edge_keys // n, edge_keys % n], axis=1)
+    return (ox, oy), points, edges, links
 
 
 def build_c4c8(spec: C4C8Spec):
     """Graph, per-edge direction tags and vertex coordinates of a C4C8 system."""
-    spec.validate()
-    g, tags, coords, _ = _assemble(spec.cells, _octagon_center, OCTAGON_OFFSETS)
-    return g, tags, coords
+    return _assemble(spec)[:3]
 
 
 def build_benzenoid(spec: BenzenoidSpec):
     """Graph, per-edge direction tags and vertex coordinates of a benzenoid."""
-    spec.validate()
-    g, tags, coords, _ = _assemble(spec.cells, _hexagon_center, HEXAGON_OFFSETS)
-    return g, tags, coords
+    return _assemble(spec)[:3]
 
 
-# Edges of octagon (i,j) by role, as canonical coordinate pairs.
+def c4c8_cut_classes(links) -> list[list[int]]:
+    """Edge classes of a C4C8 or benzenoid system: its chains of side links.
 
-
-def _h_bottom(i, j):
-    return ((4 * i - 1, 4 * j - 2), (4 * i + 1, 4 * j - 2))
-
-
-def _h_top(i, j):
-    return ((4 * i - 1, 4 * j + 2), (4 * i + 1, 4 * j + 2))
-
-
-def _v_left(i, j):
-    return ((4 * i - 2, 4 * j - 1), (4 * i - 2, 4 * j + 1))
-
-
-def _v_right(i, j):
-    return ((4 * i + 2, 4 * j - 1), (4 * i + 2, 4 * j + 1))
-
-
-def _d_sw(i, j):
-    return ((4 * i - 2, 4 * j - 1), (4 * i - 1, 4 * j - 2))
-
-
-def _d_ne(i, j):
-    return ((4 * i + 1, 4 * j + 2), (4 * i + 2, 4 * j + 1))
-
-
-def _d_nw(i, j):
-    return ((4 * i - 2, 4 * j + 1), (4 * i - 1, 4 * j + 2))
-
-
-def _d_se(i, j):
-    return ((4 * i + 1, 4 * j - 2), (4 * i + 2, 4 * j - 1))
-
-
-def _runs(values):
-    """Maximal runs of consecutive integers in a sorted sequence."""
-    runs = []
-    start = prev = values[0]
-    for x in values[1:]:
-        if x != prev + 1:
-            runs.append((start, prev))
-            start = x
-        prev = x
-    runs.append((start, prev))
-    return runs
-
-
-def c4c8_cut_classes(spec: C4C8Spec, edge_index) -> list[list[int]]:
-    """Edge classes of a C4C8 system by walking its elementary cuts.
-
-    Each cut is a straight segment entering at one peripheral edge and
-    leaving at the next: vertical segments cross the H edges of a maximal
-    column run of cells, horizontal ones the V edges of a row run, and
-    diagonal ones both parallel diagonal edges of every octagon along a
-    diagonal chain, passing between consecutive chain octagons only through a
-    fully surrounded (internal) square face.  Works purely on the cell set:
-    no distances, O(number of cells).
+    links comes from the face join of either kind of spec.  Each chain runs
+    between two boundary edges (edges with one link) and is walked from its
+    lower-numbered end.  No distances, O(number of edges).
     """
-    cells = spec.cells
-    classes: list[list[tuple]] = []
-
-    by_col: dict[int, list[int]] = {}
-    by_row: dict[int, list[int]] = {}
-    for i, j in cells:
-        by_col.setdefault(i, []).append(j)
-        by_row.setdefault(j, []).append(i)
-
-    for i, js in by_col.items():
-        for j0, j1 in _runs(sorted(js)):
-            cut = [_h_bottom(i, j0)] + [_h_top(i, j) for j in range(j0, j1 + 1)]
-            classes.append(cut)
-    for j, is_ in by_row.items():
-        for i0, i1 in _runs(sorted(is_)):
-            cut = [_v_left(i0, j)] + [_v_right(i, j) for i in range(i0, i1 + 1)]
-            classes.append(cut)
-
-    def linked(cell, step):
-        # The cut continues from cell to cell+step only when the square face
-        # between them is internal, i.e. all four octagons around it exist.
-        i, j = cell
-        di, dj = step
-        return (
-            cell in cells
-            and (i + di, j + dj) in cells
-            and (i + di, j) in cells
-            and (i, j + dj) in cells
-        )
-
-    for step, near, far in (((1, 1), _d_sw, _d_ne), ((1, -1), _d_nw, _d_se)):
-        back = (-step[0], -step[1])
-        for cell in cells:
-            if linked((cell[0] + back[0], cell[1] + back[1]), step):
-                continue  # not a chain head
-            cut = []
-            cur = cell
-            while True:
-                cut.append(near(*cur))
-                cut.append(far(*cur))
-                if not linked(cur, step):
-                    break
-                cur = (cur[0] + step[0], cur[1] + step[1])
-            classes.append(cut)
-
-    return [[edge_index[pair] for pair in cut] for cut in classes]
+    first, second = links.T.tolist()
+    far_ends = set()
+    classes = []
+    for start, other in enumerate(second):
+        if other != -1 or start in far_ends:
+            continue
+        chain = [start]
+        prev, cur = start, first[start]
+        while cur != -1:
+            chain.append(cur)
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
+        far_ends.add(chain[-1])
+        classes.append(chain)
+    return classes
 
 
-def c4c8_theta_partition(spec: C4C8Spec):
-    """Generate a C4C8 system together with its geometric edge-class partition."""
-    spec.validate()
-    g, tags, coords, edge_index = _assemble(spec.cells, _octagon_center, OCTAGON_OFFSETS)
-    theta = ThetaPartition.from_classes(
-        c4c8_cut_classes(spec, edge_index), g.edge_count
-    )
+def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
+    """A C4C8 or benzenoid system with its geometric edge-class partition.
+
+    Returns (graph, tags, coords, theta); theta equals theta_star_classes of
+    the graph, found without a distance matrix.
+    """
+    g, tags, coords, links = _assemble(spec)
+    theta = ThetaPartition.from_classes(c4c8_cut_classes(links), g.edge_count)
     return g, tags, coords, theta
 
 
@@ -303,21 +266,6 @@ def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartiti
     return validate_coarser(theta, groups)
 
 
-def _direction_quotient_trees(g, theta, cp):
-    """Weighted quotient trees per direction group, with per-edge class map."""
-    out = []
-    for gi in range(cp.group_count):
-        wq = quotient_by_edge_classes(g, theta, cp.groups[gi])
-        q = wq.quotient
-        if q.edge_count != q.vertex_count - 1:
-            raise GraphError(
-                f"direction quotient {gi} is not a tree"
-                f" ({q.vertex_count} vertices, {q.edge_count} edges)"
-            )
-        out.append(wq)
-    return out
-
-
 def c4c8_report(spec: C4C8Spec):
     """Indices of a C4C8 system plus its per-class cut rows, all in O(n).
 
@@ -328,7 +276,8 @@ def c4c8_report(spec: C4C8Spec):
     g, tags, _, theta = c4c8_theta_partition(spec)
     cp = direction_partition(g, tags, theta)
     rows = []
-    for wq in _direction_quotient_trees(g, theta, cp):
+    for group in cp.groups:
+        wq = quotient_by_edge_classes(g, theta, group)
         tree = VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)
         for row in tree_cut_rows(tree):
             (j,) = wq.class_map[row.class_index]

@@ -13,7 +13,15 @@ import argparse
 import json
 import sys
 
-from .chem import BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report, direction_partition
+from .chem import (
+    BenzenoidSpec,
+    C4C8Spec,
+    build_benzenoid,
+    build_c4c8,
+    c4c8_report,
+    c4c8_theta_partition,
+    direction_partition,
+)
 from .core import GraphError, IndexOverflowError
 from .files import (
     ParseError,
@@ -52,15 +60,14 @@ def _read(path: str) -> str:
 def _load_input(path: str):
     """Parse a graph file into (data, None) or a cell file into (None, spec).
 
-    A cell spec is validated here but not assembled; _graph_of builds the
-    graph for the routes that need one.
+    A cell spec is validated when it is made but not assembled; the routes
+    that need the graph build it.
     """
     text = _read(path)
     if sniff_kind(text) == "cells":
         kind, cells = parse_cell_text(text)
-        spec = C4C8Spec(cells) if kind == "c4c8" else BenzenoidSpec(cells)
         try:
-            spec.validate()
+            spec = C4C8Spec(cells) if kind == "c4c8" else BenzenoidSpec(cells)
         except GraphError as exc:
             # Invalid cell sets are input errors, like any other bad file.
             raise ParseError(1, str(exc)) from None
@@ -69,12 +76,11 @@ def _load_input(path: str):
 
 
 def _graph_of(data, spec):
-    """The graph of a loaded input and its direction tags (None for graph files)."""
+    """The graph of a loaded input."""
     if spec is None:
-        return data.graph, None
+        return data.graph
     build = build_c4c8 if isinstance(spec, C4C8Spec) else build_benzenoid
-    g, tags, _ = build(spec)
-    return g, tags
+    return build(spec)[0]
 
 
 def _witness_payload(witness):
@@ -150,21 +156,26 @@ def cmd_index(args) -> int:
     partition = args.partition
     rows = None
 
-    if method == "partition" and partition == "direction" and isinstance(spec, C4C8Spec):
-        # C4C8 systems take the linear pipeline: geometric cuts, tree quotients.
-        wiener, szeged, rows = c4c8_report(spec)
+    if method == "partition" and partition == "direction":
+        # Cell files take geometric classes; no distance matrix of the system.
+        if spec is None:
+            raise _UsageError("--partition direction requires a cell file")
+        if isinstance(spec, C4C8Spec):
+            # C4C8 quotients are trees: the linear tree pass gives the rows.
+            wiener, szeged, rows = c4c8_report(spec)
+        else:
+            g, tags, _, theta = c4c8_theta_partition(spec)
+            rows = partition_rows(g, theta, direction_partition(g, tags, theta))
+            wiener, szeged = indices_from_rows(rows)
     elif method == "brute":
-        g, _ = _graph_of(data, spec)
+        g = _graph_of(data, spec)
         wiener, szeged = wiener_brute(g), szeged_brute(g)
         if args.verbose:
             result = recognize_partial_cube(g)
             if isinstance(result, PartialCube):
                 rows = cut_class_summaries(result)
     else:
-        if partition == "direction" and method == "partition" and spec is None:
-            raise _UsageError("--partition direction requires a cell file")
-        g, tags = _graph_of(data, spec)
-        result = recognize_partial_cube(g)
+        result = recognize_partial_cube(_graph_of(data, spec))
         if not isinstance(result, PartialCube):
             _print_witness(result, args.json)
             return 3
@@ -176,11 +187,9 @@ def cmd_index(args) -> int:
                 cp = finest_partition(pc.theta)
             elif partition == "coarsest":
                 cp = coarsest_partition(pc.theta)
-            elif partition == "direction":
-                cp = direction_partition(pc.graph, tags, pc.theta)
             else:
                 cp = validate_coarser(pc.theta, _parse_explicit_groups(partition))
-            rows = partition_rows(pc, cp)
+            rows = partition_rows(pc.graph, pc.theta, cp)
         wiener, szeged = indices_from_rows(rows)
 
     _emit_index_report(args, method, partition, wiener, szeged, rows if args.verbose else None)
@@ -188,7 +197,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    g, _ = _graph_of(*_load_input(args.file))
+    g = _graph_of(*_load_input(args.file))
     result = recognize_partial_cube(g)
     if isinstance(result, PartialCube):
         sizes = [len(cls) for cls in result.theta.classes]

@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Graph, GraphError, check_u64, distance_matrix
-from .quotient import CoarserPartition, build_quotient, quotient_theta_classes
-from .theta import PartialCube, class_sides
+from .quotient import CoarserPartition, quotient_by_edge_classes, quotient_theta_classes
+from .theta import PartialCube, ThetaPartition, class_sides
 
 _INT64_SAFE = 2**62
 
@@ -192,17 +192,18 @@ def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
     return rows
 
 
-def partition_rows(pc: PartialCube, cp: CoarserPartition) -> list[CutRow]:
+def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> list[CutRow]:
     """The partition route's rows, read off one weighted quotient per group.
 
-    Each quotient is a partial cube whose own classes recover the size and
-    the weighted cut sides of the original classes they represent, oriented
-    by the class anchor, so the rows equal cut_class_summaries(pc).  Sorted
-    by class index.
+    theta holds the cut classes of g: a recognized partial cube's, or the
+    geometric classes of a cell system.  Each quotient is a partial cube
+    whose own classes recover the size and the weighted cut sides of the
+    original classes they represent, oriented by the class anchor, so the
+    rows equal the cut route's.  Sorted by class index.
     """
     rows = []
-    for i in range(cp.group_count):
-        for s in quotient_theta_classes(build_quotient(pc, cp, i)):
+    for group in cp.groups:
+        for s in quotient_theta_classes(quotient_by_edge_classes(g, theta, group)):
             rows.append(CutRow(s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
     rows.sort()
     return rows
@@ -220,9 +221,9 @@ def szeged_cut(pc: PartialCube) -> int:
 
 def wiener_via_partition(pc: PartialCube, cp: CoarserPartition) -> int:
     """Wiener index summed over the classes of the quotients of a coarser partition."""
-    return indices_from_rows(partition_rows(pc, cp))[0]
+    return indices_from_rows(partition_rows(pc.graph, pc.theta, cp))[0]
 
 
 def szeged_via_partition(pc: PartialCube, cp: CoarserPartition) -> int:
     """Szeged index summed over the classes of the quotients of a coarser partition."""
-    return indices_from_rows(partition_rows(pc, cp))[1]
+    return indices_from_rows(partition_rows(pc.graph, pc.theta, cp))[1]

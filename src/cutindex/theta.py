@@ -175,12 +175,12 @@ class RecognitionWitness:
         if self.kind == "hamming_violation":
             if self.pair is None:
                 return False
-            labels = _cut_labelling(g, theta_star_classes(g))
+            d = distance_matrix(g)
+            labels = _cut_labelling(g, theta_star_classes(g, d))
             if isinstance(labels, RecognitionWitness):
                 return False
             u, v = self.pair
-            d = int(distance_matrix(g)[u, v])
-            return (labels[u] ^ labels[v]).bit_count() != d
+            return (labels[u] ^ labels[v]).bit_count() != int(d[u, v])
         return False
 
 

@@ -116,8 +116,7 @@ def _normalize(cells) -> tuple:
     return tuple(sorted((i - mi, j - mj) for i, j in cells))
 
 
-def all_c4c8_cellsets(max_cells: int) -> list[frozenset]:
-    """All connected octagon cell sets up to translation, by size."""
+def _all_cellsets(max_cells: int, neighbors) -> list[frozenset]:
     level = {_normalize({(0, 0)})}
     result = [set(level)]
     for _ in range(max_cells - 1):
@@ -125,13 +124,23 @@ def all_c4c8_cellsets(max_cells: int) -> list[frozenset]:
         for cells in level:
             cellset = set(cells)
             for i, j in cellset:
-                for di, dj in _SQ_NEIGHBORS:
+                for di, dj in neighbors:
                     nb = (i + di, j + dj)
                     if nb not in cellset:
                         nxt.add(_normalize(cellset | {nb}))
         result.append(nxt)
         level = nxt
     return [frozenset(cells) for group in result for cells in group]
+
+
+def all_c4c8_cellsets(max_cells: int) -> list[frozenset]:
+    """All connected octagon cell sets up to translation, by size."""
+    return _all_cellsets(max_cells, _SQ_NEIGHBORS)
+
+
+def all_benzenoid_cellsets(max_cells: int) -> list[frozenset]:
+    """All connected hexagon cell sets up to translation, by size."""
+    return _all_cellsets(max_cells, _HEX_NEIGHBORS)
 
 
 def _grow_cellset(rng, max_cells: int, neighbors, spec_type):
@@ -145,7 +154,7 @@ def _grow_cellset(rng, max_cells: int, neighbors, spec_type):
         cand = frontier[rng.randrange(len(frontier))]
         cells.add(cand)
         try:
-            spec_type(cells).validate()
+            spec_type(cells)
         except ci.GraphError:
             cells.discard(cand)
             stalls += 1

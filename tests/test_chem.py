@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 import cutindex as ci
-from cutindex.chem import c4c8_cut_classes, c4c8_theta_partition
-from helpers import all_c4c8_cellsets, random_benzenoid, random_c4c8
+from cutindex.chem import c4c8_theta_partition
+from helpers import all_benzenoid_cellsets, all_c4c8_cellsets, random_benzenoid, random_c4c8
 
 
 def test_single_octagon():
@@ -44,6 +44,18 @@ def test_c4c8_rejects_disconnected_and_holes():
     ring = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
     with pytest.raises(ci.GraphError, match="hole"):
         ci.build_c4c8(ci.C4C8Spec(ring))
+
+
+def test_far_translated_cells_build_the_same_system():
+    cells = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
+    far = 2**70  # past int64: the face join must not overflow
+    for spec_type, shift in ((ci.C4C8Spec, 4 * far), (ci.BenzenoidSpec, 3 * far)):
+        g, tags, coords, theta = c4c8_theta_partition(spec_type(cells))
+        g2, tags2, coords2, theta2 = c4c8_theta_partition(
+            spec_type([(i + far, j + far) for i, j in cells])
+        )
+        assert (g2.vertex_count, g2.edges, tags2, theta2) == (g.vertex_count, g.edges, tags, theta)
+        assert coords2 == tuple((x + shift, y + shift) for x, y in coords)
 
 
 def test_benzenoid_counts():
@@ -105,6 +117,17 @@ def test_geometric_cuts_match_theta_for_all_small_systems():
         g, _, _, theta_geo = c4c8_theta_partition(spec)
         theta_bf = ci.theta_star_classes(g)
         assert set(theta_geo.classes) == set(theta_bf.classes)
+
+
+def test_geometric_benzenoid_classes_match_theta():
+    cellsets = all_benzenoid_cellsets(4)
+    assert Counter(len(c) for c in cellsets) == {1: 1, 2: 3, 3: 11, 4: 44}
+    specs = [ci.BenzenoidSpec(cells) for cells in cellsets]
+    rng = random.Random(61)
+    specs += [random_benzenoid(rng, 10) for _ in range(20)]
+    for spec in specs:
+        g, _, _, theta_geo = c4c8_theta_partition(spec)
+        assert set(theta_geo.classes) == set(ci.theta_star_classes(g).classes)
 
 
 def test_all_cellset_enumeration_counts():

@@ -192,6 +192,9 @@ def test_index_invalid_cells_exit_2(tmp_path):
 _C4C8_RING = "t c4c8\n" + "".join(
     f"c {i} {j}\n" for i in range(3) for j in range(3) if (i, j) != (1, 1)
 )
+_CORONENE_RING = "t benzenoid\n" + "".join(
+    f"c {a} {b}\n" for a, b in [(1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2)]
+)
 
 
 @pytest.mark.parametrize(
@@ -199,8 +202,9 @@ _C4C8_RING = "t c4c8\n" + "".join(
     [
         (_C4C8_RING, "cell set encloses a hole at (1, 1); not a bounded system"),
         ("t c4c8\nc 0 0\nc 2 2\n", "disconnected cells: (2, 2) unreachable from (0, 0)"),
+        (_CORONENE_RING, "cell set encloses a hole at (1, 1); not a bounded system"),
     ],
-    ids=["hole", "disconnected"],
+    ids=["hole", "disconnected", "benzenoid-hole"],
 )
 @pytest.mark.parametrize(
     "route",
@@ -223,6 +227,7 @@ def test_index_invalid_c4c8_cells_same_error_on_every_route(tmp_path, capsys, te
 
 _C4C8_L3 = "t c4c8\nc 0 0\nc 1 0\nc 1 1\n"
 _BENZENOID_4 = "t benzenoid\nc 0 0\nc 1 0\nc 0 1\nc 2 0\n"
+_BENZENOID_3X2 = "t benzenoid\n" + "".join(f"c {i} {j}\n" for j in range(2) for i in range(3))
 _Q3 = "p 8 12\n" + "".join(
     f"e {v} {v ^ 1 << b}\n" for v in range(8) for b in range(3) if v ^ 1 << b > v
 )
@@ -300,8 +305,35 @@ _Q3 = "p 8 12\n" + "".join(
             '"class": 1, "size": 4, "n1": 4, "n2": 4, "wiener_term": 16, "szeged_term": 64}, {'
             '"class": 2, "size": 4, "n1": 4, "n2": 4, "wiener_term": 16, "szeged_term": 64}]}\n',
         ),
+        (
+            "three-by-two.cells",
+            _BENZENOID_3X2,
+            "direction",
+            "wiener=839\n"
+            "szeged=2613\n"
+            "class=0 size=4 n1=7 n2=15 wiener_term=105 szeged_term=420\n"
+            "class=1 size=3 n1=5 n2=17 wiener_term=85 szeged_term=255\n"
+            "class=2 size=2 n1=3 n2=19 wiener_term=57 szeged_term=114\n"
+            "class=3 size=4 n1=15 n2=7 wiener_term=105 szeged_term=420\n"
+            "class=4 size=3 n1=8 n2=14 wiener_term=112 szeged_term=336\n"
+            "class=5 size=3 n1=11 n2=11 wiener_term=121 szeged_term=363\n"
+            "class=6 size=3 n1=14 n2=8 wiener_term=112 szeged_term=336\n"
+            "class=7 size=3 n1=17 n2=5 wiener_term=85 szeged_term=255\n"
+            "class=8 size=2 n1=19 n2=3 wiener_term=57 szeged_term=114\n",
+            '{"command": "index", "method": "partition", "partition": "direction",'
+            ' "wiener": 839, "szeged": 2613, "classes": [{'
+            '"class": 0, "size": 4, "n1": 7, "n2": 15, "wiener_term": 105, "szeged_term": 420}, {'
+            '"class": 1, "size": 3, "n1": 5, "n2": 17, "wiener_term": 85, "szeged_term": 255}, {'
+            '"class": 2, "size": 2, "n1": 3, "n2": 19, "wiener_term": 57, "szeged_term": 114}, {'
+            '"class": 3, "size": 4, "n1": 15, "n2": 7, "wiener_term": 105, "szeged_term": 420}, {'
+            '"class": 4, "size": 3, "n1": 8, "n2": 14, "wiener_term": 112, "szeged_term": 336}, {'
+            '"class": 5, "size": 3, "n1": 11, "n2": 11, "wiener_term": 121, "szeged_term": 363}, {'
+            '"class": 6, "size": 3, "n1": 14, "n2": 8, "wiener_term": 112, "szeged_term": 336}, {'
+            '"class": 7, "size": 3, "n1": 17, "n2": 5, "wiener_term": 85, "szeged_term": 255}, {'
+            '"class": 8, "size": 2, "n1": 19, "n2": 3, "wiener_term": 57, "szeged_term": 114}]}\n',
+        ),
     ],
-    ids=["c4c8-direction", "benzenoid-direction", "q3-coarsest"],
+    ids=["c4c8-direction", "benzenoid-direction", "q3-coarsest", "benzenoid-3x2-direction"],
 )
 def test_index_verbose_stdout_pinned(tmp_path, capsys, name, text, partition, expected, expected_json):
     argv = ["index", _write(tmp_path, name, text), "--method", "partition",
@@ -310,6 +342,34 @@ def test_index_verbose_stdout_pinned(tmp_path, capsys, name, text, partition, ex
     assert capsys.readouterr().out == expected
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out == expected_json
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    # A distance matrix on limit or more vertices fails the run.  C4C8 rows
+    # come from the tree pass alone; the benzenoid's quotients, all smaller
+    # than its 22 vertices, are still recognized.
+    [(_C4C8_L3, 0), (_BENZENOID_3X2, 22)],
+    ids=["c4c8", "benzenoid"],
+)
+def test_index_direction_builds_no_distance_matrix_of_the_system(
+    tmp_path, capsys, monkeypatch, text, limit
+):
+    argv = ["index", _write(tmp_path, "s.cells", text), "--method", "partition",
+            "--partition", "direction", "--verbose"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    real = ci.distance_matrix
+
+    def guarded(g):
+        if g.vertex_count >= limit:
+            raise AssertionError(f"distance matrix on {g.vertex_count} vertices")
+        return real(g)
+
+    monkeypatch.setattr("cutindex.theta.distance_matrix", guarded)
+    monkeypatch.setattr("cutindex.indices.distance_matrix", guarded)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_recognize_q3(tmp_path, capsys):

@@ -211,7 +211,7 @@ def test_indices_from_rows_equals_each_route_sum():
         assert ci.indices_from_rows(cut) == _row_sums(cut) == expected
         for cp in (ci.finest_partition(pc.theta), ci.coarsest_partition(pc.theta),
                    random_coarser(rng, pc.theta)):
-            rows = ci.partition_rows(pc, cp)
+            rows = ci.partition_rows(pc.graph, pc.theta, cp)
             assert rows == cut
             assert ci.indices_from_rows(rows) == expected
 

@@ -230,6 +230,20 @@ def test_fabricated_witnesses_fail_verification():
     ).verify(g)
 
 
+def test_hamming_violation_verify_builds_one_distance_matrix(monkeypatch):
+    calls = []
+    real = theta_module.distance_matrix
+
+    def counted(g):
+        calls.append(g.vertex_count)
+        return real(g)
+
+    monkeypatch.setattr(theta_module, "distance_matrix", counted)
+    g = hypercube(3)
+    assert not ci.RecognitionWitness(kind="hamming_violation", pair=(0, 7)).verify(g)
+    assert calls == [8]
+
+
 def test_hamming_mismatch_helper():
     from cutindex.theta import _hamming_mismatch
 
