@@ -41,7 +41,7 @@ from .indices import (
 )
 from .quotient import coarsest_partition, finest_partition, validate_coarser
 from .theta import PartialCube, recognize_partial_cube
-from .treedp import tree_cut_rows
+from .treedp import tree_indices
 
 
 class _UsageError(Exception):
@@ -239,7 +239,7 @@ def cmd_generate(args) -> int:
 def cmd_tree_index(args) -> int:
     data = parse_graph_text(_read(args.file))
     weighted = VertexEdgeWeightedGraph(data.graph, data.vertex_weights, data.edge_weights)
-    wiener, szeged = indices_from_rows(tree_cut_rows(weighted), weighted=True)
+    wiener, szeged = tree_indices(weighted)
     if args.json:
         print(json.dumps({"command": "tree-index", "wiener": wiener, "szeged": szeged}))
     else:

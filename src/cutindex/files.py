@@ -61,13 +61,40 @@ def parse_graph_text(text: str) -> GraphFileData:
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
-    vweights: dict[int, int] = {}
-    eweights: dict[int, int] = {}
-    weight_lines: dict[tuple[str, int], int] = {}
+    weights: dict[str, dict[int, int]] = {"wv": {}, "we": {}}
+    out_of_range = None  # first weight line with a bad index, raised after the graph checks
 
-    for lineno, fields in _significant_lines(text):
+    # Well-formed e/wv/we lines take the first two branches.  A line of the
+    # wrong shape, or before the header, falls through to the branch that
+    # names its fault, so every bad line gets the error it always had.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         kind = fields[0]
-        if kind == "p":
+        if kind == "e" and len(fields) == 3 and n is not None:
+            try:
+                edges.append((int(fields[1]), int(fields[2])))
+            except ValueError:
+                raise ParseError(lineno, "expected integer endpoint") from None
+            if len(edges) > m:
+                raise ParseError(lineno, f"more than {m} edge lines")
+        elif kind in weights and len(fields) == 3 and n is not None:
+            try:
+                idx, w = int(fields[1]), int(fields[2])
+            except ValueError:
+                _int(fields, 1, lineno, "index")
+                raise ParseError(lineno, "expected integer weight") from None
+            if w < 0:
+                raise ParseError(lineno, "weights must be nonnegative")
+            values = weights[kind]
+            if idx in values:
+                raise ParseError(lineno, f"duplicate {kind} line for index {idx}")
+            values[idx] = w
+            limit = n if kind == "wv" else m
+            if out_of_range is None and not 0 <= idx < limit:
+                out_of_range = ParseError(lineno, f"{kind} index {idx} out of range [0,{limit})")
+        elif kind == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
             if len(fields) != 3:
@@ -80,24 +107,11 @@ def parse_graph_text(text: str) -> GraphFileData:
         elif kind == "e":
             if n is None:
                 raise ParseError(lineno, "edge before header")
-            if len(fields) != 3:
-                raise ParseError(lineno, "edge line must be 'e <u> <v>'")
-            edges.append((_int(fields, 1, lineno, "endpoint"), _int(fields, 2, lineno, "endpoint")))
-            if len(edges) > m:
-                raise ParseError(lineno, f"more than {m} edge lines")
-        elif kind in ("wv", "we"):
+            raise ParseError(lineno, "edge line must be 'e <u> <v>'")
+        elif kind in weights:
             if n is None:
                 raise ParseError(lineno, "weight before header")
-            if len(fields) != 3:
-                raise ParseError(lineno, f"weight line must be '{kind} <index> <weight>'")
-            idx = _int(fields, 1, lineno, "index")
-            w = _int(fields, 2, lineno, "weight")
-            if w < 0:
-                raise ParseError(lineno, "weights must be nonnegative")
-            if (kind, idx) in weight_lines:
-                raise ParseError(lineno, f"duplicate {kind} line for index {idx}")
-            weight_lines[(kind, idx)] = lineno
-            (vweights if kind == "wv" else eweights)[idx] = w
+            raise ParseError(lineno, f"weight line must be '{kind} <index> <weight>'")
         else:
             raise ParseError(lineno, f"unknown record '{kind}'")
 
@@ -109,13 +123,14 @@ def parse_graph_text(text: str) -> GraphFileData:
         graph = build_graph(n, edges)
     except ValueError as exc:
         raise ParseError(header_line, str(exc)) from None
-    for (kind, idx), lineno in weight_lines.items():
-        limit = n if kind == "wv" else m
-        if not 0 <= idx < limit:
-            raise ParseError(lineno, f"{kind} index {idx} out of range [0,{limit})")
-    vw = tuple(vweights.get(v, 1) for v in range(n))
-    ew = tuple(eweights.get(k, 1) for k in range(m))
-    return GraphFileData(graph=graph, vertex_weights=vw, edge_weights=ew)
+    if out_of_range is not None:
+        raise out_of_range
+    vw, ew = [1] * n, [1] * m
+    for idx, w in weights["wv"].items():
+        vw[idx] = w
+    for idx, w in weights["we"].items():
+        ew[idx] = w
+    return GraphFileData(graph=graph, vertex_weights=tuple(vw), edge_weights=tuple(ew))
 
 
 def parse_graph_file(path) -> GraphFileData:

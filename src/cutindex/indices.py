@@ -37,6 +37,20 @@ from .theta import PartialCube, ThetaPartition, class_sides
 _INT64_SAFE = 2**62
 
 
+def _reject_negative(weights, what: str) -> None:
+    """Raise GraphError naming the first negative weight.
+
+    min screens in C and the scan only names the culprit.  A NaN can hide a
+    negative from min, but then the minimum is NaN, which fails ">= 0", so
+    the scan still runs.
+    """
+    if min(weights, default=0) >= 0:
+        return
+    for i, x in enumerate(weights):
+        if x < 0:
+            raise GraphError(f"{what} {i}: negative weight {x}")
+
+
 @dataclass(frozen=True)
 class VertexWeightedGraph:
     """A graph with a nonnegative weight per vertex."""
@@ -48,9 +62,7 @@ class VertexWeightedGraph:
         object.__setattr__(self, "w", tuple(self.w))
         if len(self.w) != self.graph.vertex_count:
             raise GraphError("vertex weight count does not match vertex count")
-        for v, wv in enumerate(self.w):
-            if wv < 0:
-                raise GraphError(f"vertex {v}: negative weight {wv}")
+        _reject_negative(self.w, "vertex")
 
 
 @dataclass(frozen=True)
@@ -68,12 +80,8 @@ class VertexEdgeWeightedGraph:
             raise GraphError("vertex weight count does not match vertex count")
         if len(self.w_edge) != self.graph.edge_count:
             raise GraphError("edge weight count does not match edge count")
-        for v, wv in enumerate(self.w):
-            if wv < 0:
-                raise GraphError(f"vertex {v}: negative weight {wv}")
-        for k, wk in enumerate(self.w_edge):
-            if wk < 0:
-                raise GraphError(f"edge {k}: negative weight {wk}")
+        _reject_negative(self.w, "vertex")
+        _reject_negative(self.w_edge, "edge")
 
 
 def _all_int(values) -> bool:

@@ -93,8 +93,7 @@ def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
     if d is None:
         d = distance_matrix(g)  # raises on disconnected input
     m = g.edge_count
-    ends = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = g.ends[:, 0], g.ends[:, 1]
     class_of = np.full(m, -1, dtype=np.intp)
     classes: list[list[int]] = []
     for start in range(m):

@@ -88,6 +88,49 @@ def theta_closure_by_pairs(g: ci.Graph) -> tuple[tuple, tuple]:
     return classes, tuple(class_of)
 
 
+def first_bad_edge_message(n: int, edges) -> str | None:
+    """The GraphError text build_graph must give for edges, by a scalar loop.
+
+    The first edge, in input order, that is out of range, a self-loop or a
+    duplicate in either orientation is named; None when every edge is valid.
+    """
+    seen = set()
+    for k, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {k} = ({u},{v}): endpoint out of range [0,{n})"
+        if u == v:
+            return f"edge {k} = ({u},{v}): self-loop"
+        if frozenset((u, v)) in seen:
+            return f"edge {k} = ({u},{v}): duplicate edge"
+        seen.add(frozenset((u, v)))
+    return None
+
+
+def tree_rows_by_bfs(t: ci.VertexEdgeWeightedGraph) -> list[ci.CutRow]:
+    """Tree cut rows from a BFS rooted at vertex 0, in edge order.
+
+    n1 is the weight of the subtree below the edge, the side without vertex
+    0.  Shares no code with treedp.
+    """
+    g = t.graph
+    parent, parent_edge = {0: None}, {}
+    order = [0]
+    for x in order:
+        for y, k in g.adjacency[x]:
+            if y not in parent:
+                parent[y], parent_edge[y] = x, k
+                order.append(y)
+    subtree = list(t.w)
+    for y in reversed(order[1:]):
+        subtree[parent[y]] += subtree[y]
+    total = sum(t.w)
+    rows = [None] * g.edge_count
+    for y in order[1:]:
+        k = parent_edge[y]
+        rows[k] = ci.CutRow(k, t.w_edge[k], subtree[y], total - subtree[y])
+    return rows
+
+
 def random_weights(rng, count: int, hi: int = 100) -> tuple[int, ...]:
     return tuple(rng.randint(1, hi) for _ in range(count))
 

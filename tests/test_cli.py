@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -513,6 +514,36 @@ def test_tree_index_json(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"command": "tree-index", "wiener": 288, "szeged": 960}
+
+
+def test_tree_index_shuffled_long_path(tmp_path, capsys):
+    # W = Sz = (n^3 - n) / 6 on a path, whatever the labels and edge order.
+    n = 10**5
+    rng = random.Random(59)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = [(labels[i], labels[i + 1]) for i in range(n - 1)]
+    rng.shuffle(edges)
+    text = f"p {n} {n - 1}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    assert main(["tree-index", _write(tmp_path, "path.graph", text)]) == 0
+    expected = (n**3 - n) // 6
+    assert _lines(capsys) == [f"wiener={expected}", f"szeged={expected}"]
+
+
+def test_tree_passes_never_build_adjacency(tmp_path, monkeypatch):
+    t = ci.VertexEdgeWeightedGraph(ci.build_graph(4, [(0, 1), (1, 2), (1, 3)]), (1, 2, 3, 4), (5, 6, 7))
+    ci.tree_cut_rows(t)
+    assert "adjacency" not in t.graph.__dict__
+
+    seen = []
+
+    def spy(weighted):
+        seen.append(weighted.graph)
+        return ci.tree_indices(weighted)
+
+    monkeypatch.setattr("cutindex.cli.tree_indices", spy)
+    assert main(["tree-index", _write(tmp_path, "gf1.graph", GF1)]) == 0
+    assert len(seen) == 1 and "adjacency" not in seen[0].__dict__
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

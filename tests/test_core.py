@@ -1,8 +1,13 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import cutindex as ci
-from helpers import cycle, hypercube, path
+from cutindex.core import _SCREEN_MIN_EDGES
+from helpers import cycle, first_bad_edge_message, hypercube, path
 
 
 def test_build_k2():
@@ -30,6 +35,85 @@ def test_build_rejects_duplicate_even_reversed():
 def test_build_rejects_out_of_range():
     with pytest.raises(ci.GraphError, match="out of range"):
         ci.build_graph(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("m", [3, 300])
+def test_build_rejects_float_endpoints(m):
+    # Endpoints index per-vertex arrays, so a float is a TypeError even when
+    # it is in range, on both sides of the NumPy screen.
+    edges = [(v, v + 1) for v in range(m)]
+    edges[m // 2] = (float(m // 2), m // 2 + 1)
+    with pytest.raises(TypeError):
+        ci.build_graph(m + 1, edges)
+
+
+def _plant_fault(rng, edges, k, n):
+    """Replace edges[k] with an out-of-range edge, a self-loop or a duplicate."""
+    u, v = edges[k]
+    kind = rng.choice(("range", "loop", "dup") if k else ("range", "loop"))
+    if kind == "range":
+        bad = rng.choice((-1, n, n + 7, 2**70, -(2**70)))
+        edges[k] = (u, bad) if rng.random() < 0.5 else (bad, v)
+    elif kind == "loop":
+        edges[k] = (u, u)
+    else:
+        a, b = edges[rng.randrange(k)]
+        edges[k] = (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@pytest.mark.parametrize("m", [1, 7, _SCREEN_MIN_EDGES - 1, _SCREEN_MIN_EDGES, 1500])
+def test_build_graph_names_the_first_bad_edge(m):
+    # Both sides of the NumPy screen's size limit must name the same edge
+    # with the same text as a plain scalar loop.
+    rng = random.Random(m)
+    n = m + 1
+    for trial in range(40):
+        labels = list(range(n))
+        rng.shuffle(labels)
+        edges = []
+        for v in range(1, n):
+            a, b = labels[rng.randrange(v)], labels[v]
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        if trial == 0:
+            g = ci.build_graph(n, edges)
+            assert g.edges == tuple(edges)
+            assert g.ends.dtype == np.int64 and g.ends.tolist() == [list(e) for e in edges]
+            assert not g.ends.flags.writeable
+            continue
+        for k in sorted(rng.sample(range(m), min(m, rng.choice((1, 2)))), reverse=True):
+            _plant_fault(rng, edges, k, n)
+        expected = first_bad_edge_message(n, edges)
+        assert expected is not None
+        with pytest.raises(ci.GraphError) as err:
+            ci.build_graph(n, edges)
+        assert str(err.value) == expected
+
+
+def test_adjacency_first_use_from_many_threads():
+    expected = hypercube(7).adjacency
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = hypercube(7)
+            assert "adjacency" not in g.__dict__
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(g.adjacency)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert len(seen) == 8 and all(a == expected for a in seen)
+            assert g.adjacency is g.adjacency
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_adjacency_consistent_with_edges():

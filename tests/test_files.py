@@ -50,6 +50,22 @@ def test_parse_graph_weights():
         ("p 2 1\ne 0 1\nzz 1 2\n", 3, "unknown record"),
         ("p 2 2\ne 0 1\ne 1 0\n", 1, "duplicate edge"),
         ("", 1, "missing"),
+        # the first bad line wins, whichever check it fails
+        ("p 2 1\ne 0 1\ne 0 x\n", 3, "expected integer endpoint"),
+        ("p 2 1\ne 0 1\nwv x -1\n", 3, "expected integer index"),
+        ("p 2 1\ne 0 1\nwv 0 x\n", 3, "expected integer weight"),
+        ("e 0\np 2 1\n", 1, "edge before header"),
+        ("p 2 1\ne 0\n", 2, "edge line"),
+        ("we 0 1\np 2 1\n", 1, "weight before header"),
+        ("p 2 1\ne 0 1\nwe 0\n", 3, "weight line"),
+        ("p 2 2\ne 0 x\nwv 9 1\n", 2, "integer"),
+        ("p 2 1\ne 0 1\nwe 3 1\nwv 7 1\n", 3, "we index 3 out of range [0,1)"),
+        ("p 2 1\ne 0 1\nwv 7 1\nwe 3 1\n", 3, "wv index 7 out of range [0,2)"),
+        ("p 2 1\nwv 9 1\ne 0 0\n", 1, "self-loop"),
+        ("p 2 1\nwv 9 1\nwv 9 2\ne 0 1\n", 3, "duplicate wv"),
+        # CRLF line endings, tabs and comment lines keep their line numbers
+        ("# x\r\np 2 1\r\n\t# y\r\ne\t0\t1\r\n\r\ne 1 0\r\n", 6, "more than"),
+        ("p 3 2\r\n\te 0\t1 \r\n#e 1 1\r\ne 1 1\r\n", 1, "edge 1 = (1,1): self-loop"),
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, line, needle):

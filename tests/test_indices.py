@@ -162,10 +162,16 @@ def test_huge_weights_below_limit_are_exact():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ci.GraphError):
+    with pytest.raises(ci.GraphError, match="^vertex 1: negative weight -1$"):
         ci.VertexWeightedGraph(path(2), [1, -1])
-    with pytest.raises(ci.GraphError):
+    with pytest.raises(ci.GraphError, match="^edge 0: negative weight -2$"):
         ci.VertexEdgeWeightedGraph(path(2), [1, 1], [-2])
+    # the first negative is named; a NaN ahead of it must not hide it
+    with pytest.raises(ci.GraphError, match="^vertex 2: negative weight -3$"):
+        ci.VertexEdgeWeightedGraph(path(4), [1, float("nan"), -3, -4], [1, 1, 1])
+    with pytest.raises(ci.GraphError, match="^edge 1: negative weight -0.5$"):
+        ci.VertexEdgeWeightedGraph(path(4), [1, 1, 1, 1], [float("nan"), -0.5, -7])
+    ci.VertexEdgeWeightedGraph(path(3), [0, float("nan"), 2], [0, 0])
 
 
 def test_zero_edge_weights_annihilate():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import cutindex as ci
-from helpers import cycle, path, random_tree, random_weights
+from helpers import cycle, path, random_tree, random_weights, tree_rows_by_bfs
 
 
 def test_fixture_paths():
@@ -155,3 +155,23 @@ def test_tree_cut_rows_ordered_by_edge_index():
         ci.wiener_tree_linear(ci.VertexWeightedGraph(g, t.w)),
         ci.szeged_tree_linear(t),
     )
+
+
+def test_tree_cut_rows_match_rooted_bfs():
+    # n1 is always the side without vertex 0, wherever vertex 0 sits.
+    rng = random.Random(53)
+    single = ci.VertexEdgeWeightedGraph(ci.build_graph(1, []), (7,), ())
+    assert ci.tree_cut_rows(single) == tree_rows_by_bfs(single) == []
+    for _ in range(30):
+        n = rng.randint(2, 150)
+        g = random_tree(rng, n)
+        degrees = [g.degree(v) for v in range(n)]
+        leaf = degrees.index(1)
+        hub = degrees.index(max(degrees))
+        for root in (0, leaf, hub):
+            perm = list(range(n))
+            perm[0], perm[root] = root, 0
+            g2 = ci.build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert g2.degree(0) == degrees[root]
+            t = ci.VertexEdgeWeightedGraph(g2, random_weights(rng, n), random_weights(rng, n - 1))
+            assert ci.tree_cut_rows(t) == tree_rows_by_bfs(t)
