@@ -21,6 +21,10 @@ from dataclasses import dataclass
 from .core import Graph, build_graph
 
 
+#: Vertex ids and distances are int32 by contract, so header counts are too.
+MAX_COUNT = 2**31 - 1
+
+
 class ParseError(ValueError):
     """Malformed input file; carries the offending 1-based line number."""
 
@@ -103,6 +107,8 @@ def parse_graph_text(text: str) -> GraphFileData:
             m = _int(fields, 2, lineno, "edge count")
             if n < 0 or m < 0:
                 raise ParseError(lineno, "counts must be nonnegative")
+            if n > MAX_COUNT or m > MAX_COUNT:
+                raise ParseError(lineno, f"counts must be at most {MAX_COUNT}")
             header_line = lineno
         elif kind == "e":
             if n is None:

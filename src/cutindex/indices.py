@@ -7,8 +7,9 @@ such rows, and indices_from_rows is the one place they are summed:
 
   * the cut route, one row per Theta class of a recognized partial cube
     (cut_class_summaries);
-  * the partition route, the same rows read off the weighted quotients of a
-    partition coarser than the Theta partition (partition_rows);
+  * the partition route, the same rows read off the cuts of the weighted
+    quotients of a partition coarser than the Theta partition
+    (partition_rows);
   * the tree route, one row per edge of a weighted tree (treedp), which the
     C4C8 pipeline in chem maps back to the classes of its quotient trees.
 
@@ -30,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Graph, GraphError, check_u64, distance_matrix
-from .quotient import CoarserPartition, quotient_by_edge_classes, quotient_theta_classes
+from .core import Graph, GraphError, check_u64, component_labels, distance_matrix
+from .quotient import CoarserPartition, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
 
 _INT64_SAFE = 2**62
@@ -203,16 +204,40 @@ def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
 def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> list[CutRow]:
     """The partition route's rows, read off one weighted quotient per group.
 
-    theta holds the cut classes of g: a recognized partial cube's, or the
-    geometric classes of a cell system.  Each quotient is a partial cube
-    whose own classes recover the size and the weighted cut sides of the
-    original classes they represent, oriented by the class anchor, so the
-    rows equal the cut route's.  Sorted by class index.
+    theta must be the Theta partition of g: a recognized partial cube's, or
+    the geometric classes of a cell system.  That is a precondition, not a
+    check; only the two-part cuts below are checked, and classes that pass
+    them without being the Theta partition give rows of wrong indices.
+    In the quotient by a group, the
+    quotient edges of one class j are a cut with exactly two components,
+    whose vertex weights are the sides of class j in g; the side holding
+    the class anchor comes first, so the rows equal the cut route's.  A
+    quotient edge standing for two classes, or a cut leaving other than two
+    components, raises GraphError.  Sorted by class index.
     """
     rows = []
     for group in cp.groups:
-        for s in quotient_theta_classes(quotient_by_edge_classes(g, theta, group)):
-            rows.append(CutRow(s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
+        wq = quotient_by_edge_classes(g, theta, group)
+        edges_of: dict[int, list[int]] = {}
+        for f, represented in enumerate(wq.class_map):
+            if len(represented) != 1:
+                raise GraphError(
+                    f"quotient edge {f} represents original classes {sorted(represented)};"
+                    " expected exactly one"
+                )
+            (j,) = represented
+            edges_of.setdefault(j, []).append(f)
+        total = sum(wq.vertex_weight)
+        for j, cut in edges_of.items():
+            comp, count = component_labels(wq.quotient, cut)
+            if count != 2:
+                raise GraphError(
+                    f"class {j} splits its quotient into {count} parts, expected 2;"
+                    " not a cut class"
+                )
+            side = comp[wq.membership[wq.class_anchors[j]]]
+            n1 = sum(w for w, c in zip(wq.vertex_weight, comp) if c == side)
+            rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cut), n1, total - n1))
     rows.sort()
     return rows
 

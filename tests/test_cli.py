@@ -119,6 +119,13 @@ def test_index_parse_error_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["index", "recognize", "tree-index"])
+def test_header_count_beyond_int32_exit_2(tmp_path, capsys, command):
+    rc = main([command, _write(tmp_path, "big.graph", "p 10000000000000000000 0\n")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 1: counts must be at most 2147483647\n"
+
+
 def test_index_missing_file_exit_2(tmp_path):
     assert main(["index", str(tmp_path / "nope.graph")]) == 2
 

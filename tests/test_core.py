@@ -1,13 +1,25 @@
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cutindex as ci
+from cutindex import core
+from cutindex.cli import main
 from cutindex.core import _SCREEN_MIN_EDGES
-from helpers import cycle, first_bad_edge_message, hypercube, path
+from helpers import (
+    cycle,
+    first_bad_edge_message,
+    hypercube,
+    hypercube_near_miss,
+    path,
+    random_benzenoid,
+    random_c4c8,
+    random_tree,
+)
 
 
 def test_build_k2():
@@ -185,6 +197,77 @@ def test_distance_matrix_invariants():
         assert d[s].tolist() == row
         for u, v in g.edges:
             assert abs(row[u] - row[v]) == 1
+
+
+def _distance_families():
+    rng = random.Random(29)
+    graphs = [path(n) for n in (1, 2, 63, 64, 65, 127, 128, 129, 300)]
+    graphs += [cycle(n) for n in (4, 6, 62, 64, 66, 128, 130, 200, 300)]
+    graphs += [random_tree(rng, rng.randint(2, 300)) for _ in range(12)]
+    graphs += [hypercube(k) for k in range(1, 9)]
+    graphs += [hypercube_near_miss(8, 0, v) for v in (7, 0b1011, 0b1111111)]
+    graphs += [ci.build_c4c8(random_c4c8(rng, 8))[0] for _ in range(4)]
+    graphs += [ci.build_benzenoid(random_benzenoid(rng, 8))[0] for _ in range(4)]
+    return graphs
+
+
+# As shipped; the array kernel on every graph of two or more vertices, in
+# sweeps as shipped or of one 64-source word each; one scalar BFS per source.
+_KERNEL_SETTINGS = {
+    "default": {},
+    "array": {"_ARRAY_MIN_VERTICES": 2},
+    "one_word_sweeps": {"_ARRAY_MIN_VERTICES": 2, "_GATHER_MAX_BYTES": 1},
+    "scalar": {"_ARRAY_MIN_VERTICES": 1 << 30},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_KERNEL_SETTINGS))
+def test_distance_matrix_matches_networkx(monkeypatch, setting):
+    nx = pytest.importorskip("networkx")
+    for name, value in _KERNEL_SETTINGS[setting].items():
+        monkeypatch.setattr(core, name, value)
+    for g in _distance_families():
+        n = g.vertex_count
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges)
+        expected = np.zeros((n, n), dtype=np.int64)
+        for s, lengths in nx.all_pairs_shortest_path_length(ref):
+            expected[s, list(lengths)] = list(lengths.values())
+        d = ci.distance_matrix(g)
+        assert d.dtype == np.int32 and d.shape == (n, n)
+        assert np.array_equal(d, expected), (n, g.edge_count)
+
+
+_BIG_PATH = 16385
+_BUDGET_MESSAGE = (
+    "distance matrix of 16385 vertices needs 1073872900 bytes,"
+    " over the limit of 1073741824 bytes"
+)
+
+
+def test_distance_matrix_budget_fails_before_allocating(tmp_path, capsys):
+    assert 4 * (_BIG_PATH - 1) ** 2 <= core.DISTANCE_MATRIX_MAX_BYTES
+    g = path(_BIG_PATH)
+    # NumPy reports its buffers to tracemalloc, and commits zeroed pages
+    # lazily, so the traced peak is what shows an n x n buffer (1 GiB here).
+    tracemalloc.start()
+    try:
+        with pytest.raises(ci.GraphError) as err:
+            ci.distance_matrix(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == _BUDGET_MESSAGE
+    assert peak < 16 << 20
+    text = f"p {_BIG_PATH} {_BIG_PATH - 1}\n"
+    text += "".join(f"e {v} {v + 1}\n" for v in range(_BIG_PATH - 1))
+    file = tmp_path / "long.graph"
+    file.write_text(text)
+    assert main(["index", str(file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_BUDGET_MESSAGE}\n"
 
 
 def test_bipartite_c4_and_trees():

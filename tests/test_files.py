@@ -48,6 +48,9 @@ def test_parse_graph_weights():
         ("p 2 1\ne 0 1\nwv 0 2\nwv 0 3\n", 4, "duplicate wv"),
         ("p 2 1\ne 0 1\nwv 5 2\n", 3, "out of range"),
         ("p 2 1\ne 0 1\nzz 1 2\n", 3, "unknown record"),
+        # ids and distances are int32, so counts stop at 2^31 - 1
+        ("# big\np 10000000000000000000 0\n", 2, "counts must be at most 2147483647"),
+        ("p 2 2147483648\ne 0 1\n", 1, "counts must be at most 2147483647"),
         ("p 2 2\ne 0 1\ne 1 0\n", 1, "duplicate edge"),
         ("", 1, "missing"),
         # the first bad line wins, whichever check it fails

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import cutindex as ci
+from cutindex.chem import c4c8_theta_partition
 from helpers import (
     cycle,
     hypercube,
@@ -263,3 +264,70 @@ def test_weighted_quotient_indices_sum_to_graph_indices():
         partitions += [random_coarser(rng, pc.theta) for _ in range(3)]
         for cp in partitions:
             assert _weighted_quotient_sums(pc, cp) == expected
+
+
+def _rows_via_quotient_theta(g, theta, cp):
+    """The partition rows as recognizing every quotient reads them off."""
+    rows = []
+    for group in cp.groups:
+        for s in ci.quotient_theta_classes(ci.quotient_by_edge_classes(g, theta, group)):
+            rows.append(ci.CutRow(s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
+    return sorted(rows)
+
+
+def test_partition_rows_equal_quotient_theta_classes():
+    rng = random.Random(31)
+    graphs = [hypercube(k) for k in range(1, 6)] + [cycle(2 * k) for k in range(2, 9)]
+    graphs += [random_tree(rng, rng.randint(2, 40)) for _ in range(8)]
+    graphs += [ci.build_c4c8(random_c4c8(rng, 8))[0] for _ in range(4)]
+    graphs += [ci.build_benzenoid(random_benzenoid(rng, 8))[0] for _ in range(4)]
+    for g in graphs:
+        pc = ci.recognize_partial_cube(g)
+        partitions = [ci.finest_partition(pc.theta), ci.coarsest_partition(pc.theta)]
+        partitions += [random_coarser(rng, pc.theta) for _ in range(4)]
+        for cp in partitions:
+            rows = ci.partition_rows(g, pc.theta, cp)
+            assert rows == _rows_via_quotient_theta(g, pc.theta, cp)
+            assert rows == ci.cut_class_summaries(pc)
+
+    # Geometric classes and their direction partitions, as the cell-file route uses them.
+    for spec in [random_c4c8(rng, 8) for _ in range(3)] + [random_benzenoid(rng, 8) for _ in range(3)]:
+        g, tags, _, theta = c4c8_theta_partition(spec)
+        cp = ci.direction_partition(g, tags, theta)
+        assert ci.partition_rows(g, theta, cp) == _rows_via_quotient_theta(g, theta, cp)
+
+
+@pytest.mark.parametrize(
+    "g, classes, groups, message",
+    [
+        # C4 with opposite edges in separate classes: both fold into one quotient edge.
+        (cycle(4), [[0], [2], [1, 3]], [[0, 2], [1]],
+         "quotient edge 0 represents original classes [0, 2]; expected exactly one"),
+        # C4 with every edge its own class: one edge of a 4-cycle is no cut.
+        (cycle(4), [[0], [1], [2], [3]], [[0, 1, 2, 3]],
+         "class 0 splits its quotient into 1 parts, expected 2; not a cut class"),
+        # Both edges of a path in one class: removing them leaves three parts.
+        (path(3), [[0, 1]], [[0]],
+         "class 0 splits its quotient into 3 parts, expected 2; not a cut class"),
+    ],
+    ids=["shared-quotient-edge", "one-part", "three-parts"],
+)
+def test_partition_rows_rejects_non_cut_classes(g, classes, groups, message):
+    theta = ci.ThetaPartition.from_classes(classes, g.edge_count)
+    cp = ci.validate_coarser(theta, groups)
+    with pytest.raises(ci.GraphError) as err:
+        ci.partition_rows(g, theta, cp)
+    assert str(err.value) == message
+
+
+def test_partition_rows_trusts_theta_to_be_the_theta_partition():
+    # K2,3 (a=0, b=1, x=2, y=3, z=4) is no partial cube, yet the classes
+    # {ay, az, bx} and {ax, by, bz} are each one two-part cut.  partition_rows
+    # checks only that, so it returns rows whose W is 12, not K2,3's 14.
+    g = ci.build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assert isinstance(ci.recognize_partial_cube(g), ci.RecognitionWitness)
+    theta = ci.ThetaPartition.from_classes([[1, 2, 3], [0, 4, 5]], g.edge_count)
+    rows = ci.partition_rows(g, theta, ci.coarsest_partition(theta))
+    assert rows == [ci.CutRow(0, 3, 3, 2), ci.CutRow(1, 3, 2, 3)]
+    assert ci.indices_from_rows(rows)[0] == 12
+    assert ci.wiener_brute(g) == 14
