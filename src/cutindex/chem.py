@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, GraphError, build_graph
+from .core import Graph, GraphError, _components, build_graph
 from .indices import VertexEdgeWeightedGraph, indices_from_rows
 from .quotient import CoarserPartition, quotient_by_edge_classes, validate_coarser
 from .theta import ThetaPartition
@@ -140,19 +140,20 @@ class BenzenoidSpec(_CellSpec):
         return [([(2 * a + b, 3 * b) for a, b in self.cells], HEXAGON_OFFSETS)]
 
 
-def _assemble(spec):
-    """Graph, direction tags, coordinates and side links of a cell system."""
+def _assemble(spec, coords: bool = True):
+    """Graph, direction tags, coordinates (None unless asked for) and side links."""
     (ox, oy), points, edges, links = _face_join(spec.faces())
     x, y = points.T
     u, v = edges.T
-    steps, step_of = np.unique(
-        np.stack([x[v] - x[u], y[v] - y[u]], axis=1), axis=0, return_inverse=True
-    )
-    names = np.array([direction_tag((0, 0), step) for step in steps.tolist()])
-    tags = tuple(names[step_of.ravel()].tolist())
+    dx, dy = x[v] - x[u], y[v] - y[u]
+    span = 2 * int(np.abs(dy).max(initial=0)) + 1
+    _, first, step_of = np.unique(dx * span + dy, return_index=True, return_inverse=True)
+    steps = zip(dx[first].tolist(), dy[first].tolist())
+    names = np.array([direction_tag((0, 0), step) for step in steps])
+    tags = tuple(names[step_of].tolist())
     g = build_graph(len(points), zip(u.tolist(), v.tolist()))
-    coords = tuple((a + ox, b + oy) for a, b in zip(x.tolist(), y.tolist()))
-    return g, tags, coords, links
+    xy = tuple((a + ox, b + oy) for a, b in zip(x.tolist(), y.tolist())) if coords else None
+    return g, tags, xy, links
 
 
 def _face_join(groups):
@@ -211,38 +212,36 @@ def build_benzenoid(spec: BenzenoidSpec):
     return _assemble(spec)[:3]
 
 
-def c4c8_cut_classes(links) -> list[list[int]]:
+def c4c8_cut_classes(links) -> tuple[np.ndarray, int]:
     """Edge classes of a C4C8 or benzenoid system: its chains of side links.
 
-    links comes from the face join of either kind of spec.  Each chain runs
-    between two boundary edges (edges with one link) and is walked from its
-    lower-numbered end.  No distances, O(number of edges).
+    links comes from the face join of either kind of spec.  The classes are
+    the components of the graph on the edges whose links join them, found
+    by the components kernel; returns (class label per edge, class count).
+    A class is labelled by its smallest edge, so the labels number the
+    classes in ThetaPartition order.  No distances, O(number of edges) work
+    per kernel round.
     """
-    first, second = links.T.tolist()
-    far_ends = set()
-    classes = []
-    for start, other in enumerate(second):
-        if other != -1 or start in far_ends:
-            continue
-        chain = [start]
-        prev, cur = start, first[start]
-        while cur != -1:
-            chain.append(cur)
-            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
-        far_ends.add(chain[-1])
-        classes.append(chain)
-    return classes
+    src = np.repeat(np.arange(len(links)), 2)
+    dst = links.ravel()
+    once = dst > src  # each link is listed at both of its edges; unused slots hold -1
+    labels, count, _ = _components(len(links), np.stack([src[once], dst[once]], axis=1))
+    return labels, count
 
 
-def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
+def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec, coords: bool = True):
     """A C4C8 or benzenoid system with its geometric edge-class partition.
 
     Returns (graph, tags, coords, theta); theta equals theta_star_classes of
-    the graph, found without a distance matrix.
+    the graph, found without a distance matrix.  coords=False leaves coords
+    None, for callers that discard them.
     """
-    g, tags, coords, links = _assemble(spec)
-    theta = ThetaPartition.from_classes(c4c8_cut_classes(links), g.edge_count)
-    return g, tags, coords, theta
+    g, tags, coords, links = _assemble(spec, coords)
+    labels, count = c4c8_cut_classes(links)
+    order = np.argsort(labels, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
+    classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
+    return g, tags, coords, ThetaPartition(classes, tuple(labels.tolist()))
 
 
 def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartition:
@@ -273,7 +272,7 @@ def c4c8_report(spec: C4C8Spec):
     ordered by class index, each the row of one quotient-tree edge mapped
     back to the class it represents.
     """
-    g, tags, _, theta = c4c8_theta_partition(spec)
+    g, tags, _, theta = c4c8_theta_partition(spec, coords=False)
     cp = direction_partition(g, tags, theta)
     rows = []
     for group in cp.groups:

@@ -235,8 +235,8 @@ def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> lis
                     f"class {j} splits its quotient into {count} parts, expected 2;"
                     " not a cut class"
                 )
-            side = comp[wq.membership[wq.class_anchors[j]]]
-            n1 = sum(w for w, c in zip(wq.vertex_weight, comp) if c == side)
+            side = int(comp[wq.membership[wq.class_anchors[j]]])
+            n1 = sum(w for w, c in zip(wq.vertex_weight, comp.tolist()) if c == side)
             rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cut), n1, total - n1))
     rows.sort()
     return rows

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import Graph, GraphError, build_graph, component_labels
 from .theta import PartialCube, ThetaPartition, class_sides, recognize_partial_cube
 
@@ -98,44 +100,51 @@ def quotient_by_edge_classes(
     partition, not a verified partial cube.
     """
     class_indices = tuple(class_indices)
-    if base_vertex_weights is None:
-        base_vertex_weights = [1] * g.vertex_count
-    elif len(base_vertex_weights) != g.vertex_count:
+    if base_vertex_weights is not None and len(base_vertex_weights) != g.vertex_count:
         raise GraphError("base_vertex_weights length does not match vertex count")
 
-    f_edges: list[int] = []
-    for j in class_indices:
-        f_edges.extend(theta.classes[j])
+    sizes = [len(theta.classes[j]) for j in class_indices]
+    f_edges = [k for j in class_indices for k in theta.classes[j]]
     comp, count = component_labels(g, f_edges)
 
-    weights = [0] * count
-    for v, c in enumerate(comp):
-        weights[c] += base_vertex_weights[v]
+    a, b = comp[g.ends[f_edges]].T
+    inside = a == b
+    if inside.any():
+        k = f_edges[inside.argmax()]
+        raise GraphError(
+            f"edge {k} joins vertices of one component of the cut;"
+            " the given classes are not cut classes"
+        )
+    # Fold the group's edges by (component pair, class); the keys sort as
+    # (lo, hi, class) triples, so each quotient edge's entries are adjacent.
+    r = len(class_indices)
+    pair = np.minimum(a, b) * count + np.maximum(a, b)
+    folded, multiplicity = np.unique(pair * r + np.repeat(np.arange(r), sizes), return_counts=True)
+    edges: list[tuple[int, int]] = []
+    edge_weight: list[int] = []
+    represented: list[set[int]] = []
+    for key, i, c in zip((folded // r).tolist(), (folded % r).tolist(), multiplicity.tolist()):
+        if not edges or edges[-1] != divmod(key, count):
+            edges.append(divmod(key, count))
+            edge_weight.append(0)
+            represented.append(set())
+        edge_weight[-1] += c
+        represented[-1].add(class_indices[i])
 
-    folded: dict[tuple[int, int], list] = {}
-    for j in class_indices:
-        for k in theta.classes[j]:
-            u, v = g.edges[k]
-            a, b = comp[u], comp[v]
-            if a == b:
-                raise GraphError(
-                    f"edge {k} joins vertices of one component of the cut;"
-                    " the given classes are not cut classes"
-                )
-            key = (a, b) if a < b else (b, a)
-            entry = folded.setdefault(key, [0, set()])
-            entry[0] += 1
-            entry[1].add(j)
-
-    keys = sorted(folded)
-    quotient = build_graph(count, keys)
+    if base_vertex_weights is None:
+        weights = np.bincount(comp, minlength=count).tolist()
+    else:
+        weights = [0] * count
+        for w, c in zip(base_vertex_weights, comp.tolist()):
+            weights[c] += w
+    quotient = build_graph(count, edges)
     anchors = {j: min(g.edges[theta.classes[j][0]]) for j in class_indices}
     return WeightedQuotient(
         quotient=quotient,
         vertex_weight=tuple(weights),
-        edge_weight=tuple(folded[k][0] for k in keys),
-        membership=tuple(comp),
-        class_map=tuple(frozenset(folded[k][1]) for k in keys),
+        edge_weight=tuple(edge_weight),
+        membership=tuple(comp.tolist()),
+        class_map=tuple(map(frozenset, represented)),
         class_anchors=anchors,
     )
 

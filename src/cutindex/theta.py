@@ -200,12 +200,9 @@ def _cut_labelling(g: Graph, theta: ThetaPartition):
             return RecognitionWitness(
                 kind="bad_class_cut", class_edges=cls, component_count=count
             )
-        a, b = g.edges[cls[0]]
-        zero_side = comp[min(a, b)]
         bit = 1 << j
-        for x in range(n):
-            if comp[x] != zero_side:
-                labels[x] |= bit
+        for x in np.flatnonzero(comp != comp[min(g.edges[cls[0]])]).tolist():
+            labels[x] |= bit
     return labels
 
 

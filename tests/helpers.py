@@ -210,3 +210,76 @@ def random_c4c8(rng, max_cells: int) -> ci.C4C8Spec:
 
 def random_benzenoid(rng, max_cells: int) -> ci.BenzenoidSpec:
     return _grow_cellset(rng, max_cells, _HEX_NEIGHBORS, ci.BenzenoidSpec)
+
+
+def labels_by_removal(g: ci.Graph, removed) -> tuple[list[int], int]:
+    """(component label per vertex, count) of g minus the removed edges.
+
+    Read off components_after_removal, the Python BFS kept as the oracle:
+    components are numbered by smallest vertex.
+    """
+    comps = ci.components_after_removal(g, removed)
+    labels = [0] * g.vertex_count
+    for c, members in enumerate(comps):
+        for v in members:
+            labels[v] = c
+    return labels, len(comps)
+
+
+def chain_walk_classes(links) -> list[list[int]]:
+    """Edge classes of a cell system by walking its chains of side links.
+
+    Each chain runs between two boundary edges (edges with one link) and is
+    walked from its lower-numbered end; shares no code with the components
+    kernel that chem uses.
+    """
+    first, second = links.T.tolist()
+    far_ends = set()
+    classes = []
+    for start, other in enumerate(second):
+        if other != -1 or start in far_ends:
+            continue
+        chain = [start]
+        prev, cur = start, first[start]
+        while cur != -1:
+            chain.append(cur)
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
+        far_ends.add(chain[-1])
+        classes.append(chain)
+    return classes
+
+
+def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices, base_vertex_weights=None):
+    """The weighted quotient's data by a per-edge Python fold.
+
+    Returns (vertex_weight, quotient edges, edge_weight, class_map,
+    membership) as quotient_by_edge_classes must give them, or the text of
+    the GraphError it must raise, naming the first edge (groups in the given
+    order, edges ascending) whose ends stay in one component.
+    """
+    f_edges = [k for j in class_indices for k in theta.classes[j]]
+    comp, count = labels_by_removal(g, f_edges)
+    base = [1] * g.vertex_count if base_vertex_weights is None else base_vertex_weights
+    weights = [0] * count
+    for v, c in enumerate(comp):
+        weights[c] += base[v]
+    folded: dict[tuple[int, int], list] = {}
+    for j in class_indices:
+        for k in theta.classes[j]:
+            a, b = (comp[x] for x in g.edges[k])
+            if a == b:
+                return (
+                    f"edge {k} joins vertices of one component of the cut;"
+                    " the given classes are not cut classes"
+                )
+            entry = folded.setdefault((min(a, b), max(a, b)), [0, set()])
+            entry[0] += 1
+            entry[1].add(j)
+    keys = sorted(folded)
+    return (
+        tuple(weights),
+        tuple(keys),
+        tuple(folded[k][0] for k in keys),
+        tuple(frozenset(folded[k][1]) for k in keys),
+        tuple(comp),
+    )

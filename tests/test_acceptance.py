@@ -68,7 +68,8 @@ def test_c02_worked_example_per_tree_values():
 @pytest.fixture(scope="module")
 def sweep():
     """Criteria 3-5 in one pass: oracle equivalence over the whole suite,
-    every quotient recognized as a partial cube, and exact class transfer."""
+    every quotient recognized as a partial cube (once, inside
+    quotient_theta_classes), and exact class transfer."""
     rng = random.Random(SWEEP_SEED)
     t0 = time.perf_counter()
 
@@ -105,11 +106,15 @@ def sweep():
             assert ci.szeged_via_partition(pc, cp) == s0, name
             for i in range(cp.group_count):
                 wq = ci.build_quotient(pc, cp, i)
-                assert isinstance(
-                    ci.recognize_partial_cube(wq.quotient), ci.PartialCube
-                ), f"{name}: quotient {i} not a partial cube"
+                # quotient_theta_classes recognizes the quotient and raises
+                # GraphError unless it is a partial cube with one class per
+                # original class of the group.
+                try:
+                    summaries = ci.quotient_theta_classes(wq)
+                except ci.GraphError as exc:
+                    pytest.fail(f"{name}: quotient {i} not a partial cube: {exc}")
                 quotients += 1
-                for s in ci.quotient_theta_classes(wq):
+                for s in summaries:
                     n1, n2, size = ci.class_sides(pc, s.original_class)
                     assert s.edge_weight_sum == size, name
                     assert (s.side1_weight, s.side2_weight) == (len(n1), len(n2)), name
@@ -186,21 +191,25 @@ def test_c07_tree_dp_equivalence_and_linearity():
         assert ci.wiener_tree_linear(gw) == ci.wiener_weighted(gw)
         assert ci.szeged_tree_linear(gww) == ci.szeged_weighted(gww)
 
-    def dp_seconds(n):
+    def dp_seconds(n, runs=3):
+        """The fastest of a few timed tree passes, so host noise does not
+        decide the doubling ratio."""
         g = ci.build_graph(n, [(i, i + 1) for i in range(n - 1)])
         gw = ci.VertexWeightedGraph(g, [1] * n)
         gww = ci.VertexEdgeWeightedGraph(g, [1] * n, [1] * (n - 1))
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            w = ci.wiener_tree_linear(gw)
-            s = ci.szeged_tree_linear(gww)
-            elapsed = time.perf_counter() - t0
-        finally:
-            gc.enable()
         expected = (n**3 - n) // 6
-        assert w == expected and s == expected
-        return elapsed
+        best = float("inf")
+        for _ in range(runs):
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                w = ci.wiener_tree_linear(gw)
+                s = ci.szeged_tree_linear(gww)
+                best = min(best, time.perf_counter() - t0)
+            finally:
+                gc.enable()
+            assert w == expected and s == expected
+        return best
 
     t1 = dp_seconds(10**6)
     assert t1 <= 10, f"10^6-vertex path took {t1:.2f} s"

@@ -4,8 +4,14 @@ from collections import Counter
 import pytest
 
 import cutindex as ci
-from cutindex.chem import c4c8_theta_partition
-from helpers import all_benzenoid_cellsets, all_c4c8_cellsets, random_benzenoid, random_c4c8
+from cutindex.chem import _assemble, c4c8_theta_partition
+from helpers import (
+    all_benzenoid_cellsets,
+    all_c4c8_cellsets,
+    chain_walk_classes,
+    random_benzenoid,
+    random_c4c8,
+)
 
 
 def test_single_octagon():
@@ -128,6 +134,23 @@ def test_geometric_benzenoid_classes_match_theta():
     for spec in specs:
         g, _, _, theta_geo = c4c8_theta_partition(spec)
         assert set(theta_geo.classes) == set(ci.theta_star_classes(g).classes)
+
+
+def test_kernel_classes_equal_the_chain_walk():
+    rng = random.Random(67)
+    block = [(i, j) for i in range(30) for j in range(30)]
+    specs = [ci.C4C8Spec(c) for c in all_c4c8_cellsets(4)]
+    specs += [ci.BenzenoidSpec(c) for c in all_benzenoid_cellsets(4)]
+    specs += [random_c4c8(rng, 12) for _ in range(20)]
+    specs += [random_benzenoid(rng, 12) for _ in range(20)]
+    specs += [ci.C4C8Spec(block), ci.BenzenoidSpec(block)]
+    for spec in specs:
+        g, tags, coords, theta = c4c8_theta_partition(spec)
+        links = _assemble(spec)[3]
+        assert theta == ci.ThetaPartition.from_classes(chain_walk_classes(links), g.edge_count)
+        build = ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid
+        assert build(spec) == (g, tags, coords)
+        assert c4c8_theta_partition(spec, coords=False)[2] is None
 
 
 def test_all_cellset_enumeration_counts():

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -9,12 +10,13 @@ import pytest
 import cutindex as ci
 from cutindex import core
 from cutindex.cli import main
-from cutindex.core import _SCREEN_MIN_EDGES
+from cutindex.core import _KERNEL_MIN_VERTICES, _SCREEN_MIN_EDGES, _components
 from helpers import (
     cycle,
     first_bad_edge_message,
     hypercube,
     hypercube_near_miss,
+    labels_by_removal,
     path,
     random_benzenoid,
     random_c4c8,
@@ -314,3 +316,92 @@ def test_u64_guard():
     assert check_u64(2**64 - 1) == 2**64 - 1
     with pytest.raises(ci.IndexOverflowError):
         check_u64(2**64)
+
+
+def _component_families():
+    """Graphs on both sides of _KERNEL_MIN_VERTICES, connected or not."""
+    rng = random.Random(41)
+    k = _KERNEL_MIN_VERTICES
+    graphs = [ci.build_graph(n, []) for n in (0, 1, 2, 5, k, 300)]
+    graphs += [path(n) for n in (1, 2, k - 1, k, k + 1)]
+    graphs += [cycle(n) for n in (4, 10, k - 2, k, k + 2, 2 * k + 2)]
+    graphs += [random_tree(rng, n) for n in (3, 60, k - 1, k, k + 1, 2 * k + 1, 1000)]
+    graphs += [hypercube(d) for d in range(1, 10)]
+    graphs += [ci.build_c4c8(random_c4c8(rng, 8))[0] for _ in range(3)]
+    graphs += [ci.build_benzenoid(random_benzenoid(rng, 8))[0] for _ in range(3)]
+    # blocks of 288 and 258 vertices
+    graphs.append(ci.build_c4c8(ci.C4C8Spec([(i, j) for i in range(8) for j in range(8)]))[0])
+    hexagons = [(i, j) for i in range(12) for j in range(9)]
+    graphs.append(ci.build_benzenoid(ci.BenzenoidSpec(hexagons))[0])
+    for n in (20, 100, k - 1, k, k + 1, 700):
+        # random graphs on a random subset of the vertices; the rest stay isolated
+        used = rng.sample(range(n), rng.randint(2, n))
+        pairs = {tuple(sorted(rng.sample(used, 2))) for _ in range(len(used))}
+        graphs.append(ci.build_graph(n, sorted(pairs)))
+    return graphs
+
+
+@pytest.mark.parametrize("minimum", ["shipped", "kernel", "scalar"])
+def test_component_labels_match_bfs_oracle(monkeypatch, minimum):
+    value = {"shipped": _KERNEL_MIN_VERTICES, "kernel": 0, "scalar": 1 << 30}[minimum]
+    monkeypatch.setattr(core, "_KERNEL_MIN_VERTICES", value)
+    rng = random.Random(43)
+    for g in _component_families():
+        m = g.edge_count
+        one = [rng.randrange(m)] if m else []
+        for removed in ((), tuple(range(m)), set(rng.sample(range(m), m // 2)), one):
+            expected = labels_by_removal(g, removed)
+            comp, count = core.component_labels(g, removed)
+            assert (comp.tolist(), count) == expected, (g.vertex_count, m, len(removed))
+
+
+def test_components_kernel_small_and_empty():
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    labels, count, rounds = _components(0, no_edges)
+    assert labels.tolist() == [] and (count, rounds) == (0, 0)
+    labels, count, rounds = _components(1, no_edges)
+    assert labels.tolist() == [0] and (count, rounds) == (1, 0)
+    labels, count, rounds = _components(4, no_edges)
+    assert labels.tolist() == [0, 1, 2, 3] and (count, rounds) == (4, 0)
+
+
+def _adversarial_orders(n):
+    """Reversed path, zig-zag paths and a star centred on the largest id."""
+    zig = [v for pair in zip(range(n // 2), range(n - 1, n // 2 - 1, -1)) for v in pair]
+    zig += [n // 2] if n % 2 else []
+    outward = list(range(0, n, 2)) + list(range(1, n, 2))[::-1]
+    return {
+        "reversed path": [(v, v - 1) for v in range(n - 1, 0, -1)],
+        "zig-zag path": list(zip(zig, zig[1:])),
+        "out and back path": list(zip(outward, outward[1:])),
+        "star on largest": [(n - 1, v) for v in range(n - 1)],
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 257, 1000, 4097])
+def test_components_kernel_rounds_stay_logarithmic(n):
+    bound = math.ceil(math.log2(n)) + 1
+    rng = random.Random(n)
+    for name, edges in _adversarial_orders(n).items():
+        g = ci.build_graph(n, edges)
+        labels, count, rounds = _components(n, g.ends)
+        assert (labels.tolist(), count) == labels_by_removal(g, ()), name
+        assert rounds <= bound, (name, rounds)
+    for _ in range(3):
+        g = random_tree(rng, n)
+        assert _components(n, g.ends)[2] <= bound
+
+
+def test_require_connected_names_first_vertex_above_kernel_constant():
+    n = 3 * _KERNEL_MIN_VERTICES
+    rng = random.Random(47)
+    order = list(range(n))
+    rng.shuffle(order)
+    half = n // 2
+    edges = [(order[i], order[i + 1]) for i in range(n - 1) if i != half - 1]
+    g = ci.build_graph(n, edges)
+    first = ci.bfs_distances(g, 0).index(ci.UNREACHABLE)
+    with pytest.raises(ci.GraphError) as err:
+        core.require_connected(g)
+    assert str(err.value) == f"graph is disconnected: no path between vertices 0 and {first}"
+    core.require_connected(path(n))

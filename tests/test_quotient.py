@@ -3,7 +3,7 @@ import random
 import pytest
 
 import cutindex as ci
-from helpers import cycle, hypercube, random_coarser, random_tree
+from helpers import cycle, folded_quotient, hypercube, random_coarser, random_tree
 
 
 def _theta(g):
@@ -144,3 +144,48 @@ def test_non_cut_classes_rejected():
     fake = ci.ThetaPartition.from_classes([{0}, {1, 2, 3}], 4)
     with pytest.raises(ci.GraphError, match="not cut classes"):
         ci.quotient_by_edge_classes(g, fake, (0,))
+
+
+def _folded(wq):
+    return (wq.vertex_weight, wq.quotient.edges, wq.edge_weight, wq.class_map, wq.membership)
+
+
+def test_array_fold_equals_python_fold():
+    rng = random.Random(23)
+    cases = [ci.recognize_partial_cube(g) for g in (hypercube(5), cycle(12), random_tree(rng, 200))]
+    spec = ci.C4C8Spec([(i, j) for i in range(5) for j in range(5)])
+    g, tags, _, theta = ci.c4c8_theta_partition(spec)
+    for pc in cases:
+        for _ in range(3):
+            cp = random_coarser(rng, pc.theta)
+            for group in cp.groups:
+                n = pc.graph.vertex_count
+                floats = [rng.random() * 10 for _ in range(n)]
+                huge = [2**63 + rng.randrange(2**70) for _ in range(n)]
+                for base in (None, floats, huge):
+                    wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, group, base)
+                    assert _folded(wq) == folded_quotient(pc.graph, pc.theta, group, base)
+    for group in ci.direction_partition(g, tags, theta).groups:
+        wq = ci.quotient_by_edge_classes(g, theta, group)
+        assert _folded(wq) == folded_quotient(g, theta, group)
+
+
+def test_non_cut_group_names_the_first_offending_edge():
+    rng = random.Random(29)
+    g = hypercube(4)
+    for _ in range(10):
+        # random unions of edges that are no Theta classes; groups listed in shuffled order
+        edges = list(range(g.edge_count))
+        rng.shuffle(edges)
+        cuts = sorted(rng.sample(range(1, g.edge_count), 5))
+        fake = ci.ThetaPartition.from_classes(
+            [edges[a:b] for a, b in zip([0] + cuts, cuts + [g.edge_count])], g.edge_count
+        )
+        group = rng.sample(range(fake.class_count), 3)
+        expected = folded_quotient(g, fake, group)
+        if isinstance(expected, str):
+            with pytest.raises(ci.GraphError) as err:
+                ci.quotient_by_edge_classes(g, fake, group)
+            assert str(err.value) == expected
+        else:
+            assert _folded(ci.quotient_by_edge_classes(g, fake, group)) == expected
