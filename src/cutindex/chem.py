@@ -229,7 +229,7 @@ def c4c8_cut_classes(links) -> tuple[np.ndarray, int]:
     return labels, count
 
 
-def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec, coords: bool = True):
+def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec, *, coords: bool = True):
     """A C4C8 or benzenoid system with its geometric edge-class partition.
 
     Returns (graph, tags, coords, theta); theta equals theta_star_classes of
