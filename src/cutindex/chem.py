@@ -140,9 +140,9 @@ class BenzenoidSpec(_CellSpec):
         return [([(2 * a + b, 3 * b) for a, b in self.cells], HEXAGON_OFFSETS)]
 
 
-def _assemble(spec, coords: bool = True):
-    """Graph, direction tags, coordinates (None unless asked for) and side links."""
-    (ox, oy), points, edges, links = _face_join(spec.faces())
+def _assemble(spec):
+    """Graph, direction tags, side links, origin and corners relative to it."""
+    origin, points, edges, links = _face_join(spec.faces())
     x, y = points.T
     u, v = edges.T
     dx, dy = x[v] - x[u], y[v] - y[u]
@@ -152,8 +152,7 @@ def _assemble(spec, coords: bool = True):
     names = np.array([direction_tag((0, 0), step) for step in steps])
     tags = tuple(names[step_of].tolist())
     g = build_graph(len(points), zip(u.tolist(), v.tolist()))
-    xy = tuple((a + ox, b + oy) for a, b in zip(x.tolist(), y.tolist())) if coords else None
-    return g, tags, xy, links
+    return g, tags, links, origin, points
 
 
 def _face_join(groups):
@@ -202,14 +201,20 @@ def _face_join(groups):
     return (ox, oy), points, edges, links
 
 
+def _build(spec):
+    """Graph, direction tags and vertex coordinates of a cell system."""
+    g, tags, _, (ox, oy), points = _assemble(spec)
+    return g, tags, tuple((x + ox, y + oy) for x, y in points.tolist())
+
+
 def build_c4c8(spec: C4C8Spec):
     """Graph, per-edge direction tags and vertex coordinates of a C4C8 system."""
-    return _assemble(spec)[:3]
+    return _build(spec)
 
 
 def build_benzenoid(spec: BenzenoidSpec):
     """Graph, per-edge direction tags and vertex coordinates of a benzenoid."""
-    return _assemble(spec)[:3]
+    return _build(spec)
 
 
 def c4c8_cut_classes(links) -> tuple[np.ndarray, int]:
@@ -229,19 +234,19 @@ def c4c8_cut_classes(links) -> tuple[np.ndarray, int]:
     return labels, count
 
 
-def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec, *, coords: bool = True):
+def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
     """A C4C8 or benzenoid system with its geometric edge-class partition.
 
-    Returns (graph, tags, coords, theta); theta equals theta_star_classes of
-    the graph, found without a distance matrix.  coords=False leaves coords
-    None, for callers that discard them.
+    Returns (graph, tags, theta); theta equals theta_star_classes of the
+    graph, found without a distance matrix.  build_c4c8 and build_benzenoid
+    give the same graph and tags with vertex coordinates.
     """
-    g, tags, coords, links = _assemble(spec, coords)
+    g, tags, links, _, _ = _assemble(spec)
     labels, count = c4c8_cut_classes(links)
     order = np.argsort(labels, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
     classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
-    return g, tags, coords, ThetaPartition(classes, tuple(labels.tolist()))
+    return g, tags, ThetaPartition(classes, tuple(labels.tolist()))
 
 
 def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartition:
@@ -272,7 +277,7 @@ def c4c8_report(spec: C4C8Spec):
     ordered by class index, each the row of one quotient-tree edge mapped
     back to the class it represents.
     """
-    g, tags, _, theta = c4c8_theta_partition(spec, coords=False)
+    g, tags, theta = c4c8_theta_partition(spec)
     cp = direction_partition(g, tags, theta)
     rows = []
     for group in cp.groups:

@@ -164,7 +164,7 @@ def cmd_index(args) -> int:
             # C4C8 quotients are trees: the linear tree pass gives the rows.
             wiener, szeged, rows = c4c8_report(spec)
         else:
-            g, tags, _, theta = c4c8_theta_partition(spec, coords=False)
+            g, tags, theta = c4c8_theta_partition(spec)
             rows = partition_rows(g, theta, direction_partition(g, tags, theta))
             wiener, szeged = indices_from_rows(rows)
     elif method == "brute":

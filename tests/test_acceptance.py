@@ -239,7 +239,7 @@ def test_c09_tree_identity():
 def test_c10_c4c8_structural_claims(sweep):
     for spec in sweep.c4c8_specs:
         assert len(spec.cells) <= 12
-        g, tags, _, theta_geo = c4c8_theta_partition(spec)
+        g, tags, theta_geo = c4c8_theta_partition(spec)
         assert isinstance(ci.recognize_partial_cube(g), ci.PartialCube)
         assert set(theta_geo.classes) == set(ci.theta_star_classes(g).classes)
         cp = ci.direction_partition(g, tags, theta_geo)

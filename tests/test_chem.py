@@ -55,12 +55,15 @@ def test_c4c8_rejects_disconnected_and_holes():
 def test_far_translated_cells_build_the_same_system():
     cells = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
     far = 2**70  # past int64: the face join must not overflow
-    for spec_type, shift in ((ci.C4C8Spec, 4 * far), (ci.BenzenoidSpec, 3 * far)):
-        g, tags, coords, theta = c4c8_theta_partition(spec_type(cells))
-        g2, tags2, coords2, theta2 = c4c8_theta_partition(
-            spec_type([(i + far, j + far) for i, j in cells])
-        )
+    for spec_type, build, shift in (
+        (ci.C4C8Spec, ci.build_c4c8, 4 * far),
+        (ci.BenzenoidSpec, ci.build_benzenoid, 3 * far),
+    ):
+        spec, spec2 = spec_type(cells), spec_type([(i + far, j + far) for i, j in cells])
+        g, tags, theta = c4c8_theta_partition(spec)
+        g2, tags2, theta2 = c4c8_theta_partition(spec2)
         assert (g2.vertex_count, g2.edges, tags2, theta2) == (g.vertex_count, g.edges, tags, theta)
+        coords, coords2 = build(spec)[2], build(spec2)[2]
         assert coords2 == tuple((x + shift, y + shift) for x, y in coords)
 
 
@@ -83,7 +86,7 @@ def test_benzenoid_rejects_hole():
 
 
 def test_direction_partition_single_octagon():
-    g, tags, _, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
+    g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
     assert theta.class_count == 4
     cp = ci.direction_partition(g, tags, theta)
     assert cp.group_count == 4
@@ -92,7 +95,7 @@ def test_direction_partition_single_octagon():
 
 
 def test_direction_partition_2x2():
-    g, tags, _, theta = c4c8_theta_partition(
+    g, tags, theta = c4c8_theta_partition(
         ci.C4C8Spec([(0, 0), (1, 0), (0, 1), (1, 1)])
     )
     cp = ci.direction_partition(g, tags, theta)
@@ -108,7 +111,7 @@ def test_direction_partition_single_hexagon():
 
 
 def test_direction_partition_rejects_mixed_class():
-    g, tags, _, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
+    g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
     bad_tags = ["H"] * g.edge_count
     bad_tags[theta.classes[0][0]] = "V"
     with pytest.raises(ci.GraphError, match="mixes directions"):
@@ -120,7 +123,7 @@ def test_direction_partition_rejects_mixed_class():
 def test_geometric_cuts_match_theta_for_all_small_systems():
     for cells in all_c4c8_cellsets(3):
         spec = ci.C4C8Spec(cells)
-        g, _, _, theta_geo = c4c8_theta_partition(spec)
+        g, _, theta_geo = c4c8_theta_partition(spec)
         theta_bf = ci.theta_star_classes(g)
         assert set(theta_geo.classes) == set(theta_bf.classes)
 
@@ -132,7 +135,7 @@ def test_geometric_benzenoid_classes_match_theta():
     rng = random.Random(61)
     specs += [random_benzenoid(rng, 10) for _ in range(20)]
     for spec in specs:
-        g, _, _, theta_geo = c4c8_theta_partition(spec)
+        g, _, theta_geo = c4c8_theta_partition(spec)
         assert set(theta_geo.classes) == set(ci.theta_star_classes(g).classes)
 
 
@@ -145,12 +148,11 @@ def test_kernel_classes_equal_the_chain_walk():
     specs += [random_benzenoid(rng, 12) for _ in range(20)]
     specs += [ci.C4C8Spec(block), ci.BenzenoidSpec(block)]
     for spec in specs:
-        g, tags, coords, theta = c4c8_theta_partition(spec)
-        links = _assemble(spec)[3]
+        g, tags, theta = c4c8_theta_partition(spec)
+        links = _assemble(spec)[2]
         assert theta == ci.ThetaPartition.from_classes(chain_walk_classes(links), g.edge_count)
         build = ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid
-        assert build(spec) == (g, tags, coords)
-        assert c4c8_theta_partition(spec, coords=False)[2] is None
+        assert build(spec)[:2] == (g, tags)
 
 
 def test_all_cellset_enumeration_counts():
@@ -182,7 +184,7 @@ def test_direction_quotients_are_trees():
     rng = random.Random(53)
     for _ in range(5):
         spec = random_c4c8(rng, 8)
-        g, tags, _, theta = c4c8_theta_partition(spec)
+        g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
         for i in range(cp.group_count):
             wq = ci.quotient_by_edge_classes(g, theta, cp.groups[i])

@@ -292,7 +292,7 @@ def test_partition_rows_equal_quotient_theta_classes():
 
     # Geometric classes and their direction partitions, as the cell-file route uses them.
     for spec in [random_c4c8(rng, 8) for _ in range(3)] + [random_benzenoid(rng, 8) for _ in range(3)]:
-        g, tags, _, theta = c4c8_theta_partition(spec)
+        g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
         assert ci.partition_rows(g, theta, cp) == _rows_via_quotient_theta(g, theta, cp)
 

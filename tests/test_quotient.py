@@ -154,7 +154,7 @@ def test_array_fold_equals_python_fold():
     rng = random.Random(23)
     cases = [ci.recognize_partial_cube(g) for g in (hypercube(5), cycle(12), random_tree(rng, 200))]
     spec = ci.C4C8Spec([(i, j) for i in range(5) for j in range(5)])
-    g, tags, _, theta = ci.c4c8_theta_partition(spec)
+    g, tags, theta = ci.c4c8_theta_partition(spec)
     for pc in cases:
         for _ in range(3):
             cp = random_coarser(rng, pc.theta)
