@@ -115,15 +115,23 @@ def quotient_by_edge_classes(
             f"edge {k} joins vertices of one component of the cut;"
             " the given classes are not cut classes"
         )
-    # Fold the group's edges by (component pair, class); the keys sort as
-    # (lo, hi, class) triples, so each quotient edge's entries are adjacent.
-    r = len(class_indices)
+    # Fold the group's edges by (component pair, class).  f_edges lists the
+    # classes in order, so a stable sort by pair alone orders the entries as
+    # (lo, hi, class) triples and each quotient edge's entries are adjacent.
+    # Nothing packs the class into the key, so no class count can overflow
+    # it; the pair key stays below count² < 2⁶².
     pair = np.minimum(a, b) * count + np.maximum(a, b)
-    folded, multiplicity = np.unique(pair * r + np.repeat(np.arange(r), sizes), return_counts=True)
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    cls = np.repeat(np.arange(len(class_indices)), sizes)[order]
+    new = np.ones(len(pair), dtype=bool)
+    new[1:] = (pair[1:] != pair[:-1]) | (cls[1:] != cls[:-1])
+    first = np.flatnonzero(new)
+    multiplicity = np.diff(first, append=len(pair))
     edges: list[tuple[int, int]] = []
     edge_weight: list[int] = []
     represented: list[set[int]] = []
-    for key, i, c in zip((folded // r).tolist(), (folded % r).tolist(), multiplicity.tolist()):
+    for key, i, c in zip(pair[first].tolist(), cls[first].tolist(), multiplicity.tolist()):
         if not edges or edges[-1] != divmod(key, count):
             edges.append(divmod(key, count))
             edge_weight.append(0)
