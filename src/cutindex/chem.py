@@ -151,7 +151,7 @@ def _assemble(spec):
     steps = zip(dx[first].tolist(), dy[first].tolist())
     names = np.array([direction_tag((0, 0), step) for step in steps])
     tags = tuple(names[step_of].tolist())
-    g = build_graph(len(points), zip(u.tolist(), v.tolist()))
+    g = build_graph(len(points), edges)
     return g, tags, links, origin, points
 
 

@@ -41,7 +41,7 @@ from .indices import (
 )
 from .quotient import coarsest_partition, finest_partition, validate_coarser
 from .theta import PartialCube, recognize_partial_cube
-from .treedp import tree_indices
+from .treedp import require_tree_counts, tree_indices
 
 
 class _UsageError(Exception):
@@ -238,6 +238,7 @@ def cmd_generate(args) -> int:
 
 def cmd_tree_index(args) -> int:
     data = parse_graph_text(_read(args.file))
+    require_tree_counts(data.graph)  # before any per-vertex weight list
     weighted = VertexEdgeWeightedGraph(data.graph, data.vertex_weights, data.edge_weights)
     wiener, szeged = tree_indices(weighted)
     if args.json:

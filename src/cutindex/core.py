@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import index
 
 import numpy as np
@@ -54,45 +53,53 @@ def check_u64(value, what="index value"):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with positional edge identity.
 
-    ends holds the same edges as a read-only (m, 2) int64 array, and
-    adjacency[v] lists (neighbor, edge_index) pairs in edge-input order.
-    Both are derived from edges on first use (build_graph hands over the
-    array it screened large edge lists with), so a pass pays only for what
-    it reads.  Instances are built through build_graph, which validates the
-    edge list.
+    ends, the store, holds edge k as row k of a read-only (m, 2) int64
+    array.  edges (the same pairs as a tuple of int tuples) and adjacency
+    (adjacency[v] lists (neighbor, edge_index) pairs in edge-input order)
+    are derived on first use, so a pass that reads only the array never
+    builds a per-edge tuple.  Graphs compare equal when their vertex counts
+    and ends are.  Instances are built through build_graph, which validates
+    the edge list.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    ends: np.ndarray
 
     # cached_property stores a value only once it is built whole, so a
     # concurrent first use may build it twice but never sees it half built.
+    # Both walk the two columns: ends.tolist() would make one GC-tracked
+    # list per edge, enough churn to move full collections into a call.
 
     @cached_property
-    def ends(self) -> np.ndarray:
-        flat = chain.from_iterable(self.edges)
-        ends = np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.ends.T.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for k, (u, v) in enumerate(self.edges):
+        for k, (u, v) in enumerate(zip(*self.ends.T.tolist())):
             adjacency[u].append((v, k))
             adjacency[v].append((u, k))
         return tuple(map(tuple, adjacency))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and np.array_equal(self.ends, other.ends)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.ends.tobytes()))
 
 
 #: Edge lists at least this long are screened with NumPy before any
@@ -142,20 +149,26 @@ def _screened_ends(vertex_count: int, edges):
 def build_graph(vertex_count: int, edges) -> Graph:
     """Validate an edge list and build a Graph.
 
-    Rejects self-loops, duplicate edges (in either orientation) and endpoints
-    outside [0, vertex_count); the first offending edge is named in the
-    error.
+    edges is an iterable of (u, v) pairs or an (m, 2) integer array; an
+    array long enough to screen with NumPy becomes the graph's ends without
+    any per-edge tuple.  Rejects self-loops, duplicate edges (in either
+    orientation) and endpoints outside [0, vertex_count); the first
+    offending edge is named in the error.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
-    edges = tuple(map(tuple, edges))
+    is_array = isinstance(edges, np.ndarray)
+    if not is_array:
+        edges = tuple(map(tuple, edges))
     ends = _screened_ends(vertex_count, edges) if len(edges) >= _SCREEN_MIN_EDGES else None
     if ends is None:
-        _check_each_edge(vertex_count, edges)
-    graph = Graph(vertex_count=vertex_count, edges=edges)
-    if ends is not None:
-        ends.flags.writeable = False
-        graph.__dict__["ends"] = ends  # seeds the cached ends property
+        pairs = edges.tolist() if is_array else edges
+        _check_each_edge(vertex_count, pairs)
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    ends.flags.writeable = False
+    graph = Graph(vertex_count=vertex_count, ends=ends)
+    if not is_array:
+        graph.__dict__["edges"] = edges  # seeds the cached edges property
     return graph
 
 

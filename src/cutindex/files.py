@@ -12,13 +12,25 @@ Cell files:
 
     t c4c8 | t benzenoid
     c <i> <j>          one cell per line
+
+A plain graph file (ASCII, header first, then only e/wv/we records, single
+spaces, LF line ends, numbers of at most 18 digits) is read by one NumPy
+pass over its bytes, which hands build_graph an (m, 2) int64 edge array and
+builds no per-edge tuple (_parse_graph_arrays).  Anything else, and any
+plain file with a fault, goes to the line-by-line parser, which owns every
+ParseError: its texts and line numbers are the same whichever path a file
+would have taken.  Weight lines stay sparse in GraphFileData until a
+caller asks for the per-vertex tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import Graph, build_graph
+import numpy as np
+
+from .core import Graph, GraphError, build_graph
 
 
 #: Vertex ids and distances are int32 by contract, so header counts are too.
@@ -48,20 +60,177 @@ def _int(fields, idx, lineno, what):
         raise ParseError(lineno, f"expected integer {what}") from None
 
 
-@dataclass(frozen=True)
+def _dense(count: int, lines) -> tuple[int, ...]:
+    weights = [1] * count
+    for idx, w in zip(*lines):
+        weights[idx] = w
+    return tuple(weights)
+
+
+def _nondefault(lines) -> frozenset[tuple[int, int]]:
+    return frozenset((idx, w) for idx, w in zip(*lines) if w != 1)
+
+
+@dataclass(frozen=True, eq=False)
 class GraphFileData:
+    """A parsed graph file.
+
+    The weight lines are kept as read, an (indices, weights) pair of int
+    tuples per kind, and the per-vertex and per-edge tuples (weight 1 where
+    no line gives one) are built on first use: a header may declare far
+    more vertices than the file has lines, and nothing O(n) is allocated
+    until a caller asks.  Equality and hash go by the graph and the dense
+    weights, so the order of the lines and lines that give weight 1 do not
+    count; they are computed from the lines, without the dense tuples.
+    """
+
     graph: Graph
-    vertex_weights: tuple[int, ...]
-    edge_weights: tuple[int, ...]
+    vertex_weight_lines: tuple[tuple[int, ...], tuple[int, ...]]
+    edge_weight_lines: tuple[tuple[int, ...], tuple[int, ...]]
+
+    @cached_property
+    def vertex_weights(self) -> tuple[int, ...]:
+        return _dense(self.graph.vertex_count, self.vertex_weight_lines)
+
+    @cached_property
+    def edge_weights(self) -> tuple[int, ...]:
+        return _dense(self.graph.edge_count, self.edge_weight_lines)
 
     @property
     def has_nondefault_weights(self) -> bool:
-        return any(w != 1 for w in self.vertex_weights) or any(
-            w != 1 for w in self.edge_weights
+        return any(w != 1 for w in self.vertex_weight_lines[1]) or any(
+            w != 1 for w in self.edge_weight_lines[1]
         )
+
+    def _key(self):
+        return (
+            self.graph,
+            _nondefault(self.vertex_weight_lines),
+            _nondefault(self.edge_weight_lines),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphFileData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+#: Longest digit run the array path reads; 18 digits always fit int64.
+_ARRAY_MAX_DIGITS = 18
+
+_E, _W, _V, _SPACE, _NEWLINE = b"ewv \n"
+
+#: Record codes of the array path.
+_HEADER, _EDGE, _VERTEX_WEIGHT, _EDGE_WEIGHT = range(4)
+
+
+def _plain_records(text: str):
+    """(first field, second field, record code) per line, as arrays, or None.
+
+    A plain file is ASCII; its first line is 'p <n> <m>' and every later
+    line 'e|wv|we <int> <int>', with single spaces, an LF at the end of
+    every line and at most _ARRAY_MAX_DIGITS digits per number.  The text
+    is read as one byte array: digit runs come from the flips of the digit
+    mask, the layout from run and newline positions, and the values one
+    digit column at a time, so no array is larger than the text or the run
+    count.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if not (raw.startswith(b"p") and raw.endswith(b"\n")):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+
+    # Both ends of the text are non-digits, so the flips alternate run
+    # start, run stop.  A plain line holds two runs, the second ending at
+    # its newline and the first one space before the second; before the
+    # first come a one- or two-letter tag and a space.
+    flips = np.flatnonzero(np.diff(b - np.uint8(48) < 10))
+    flips += 1
+    newlines = np.flatnonzero(b == _NEWLINE)
+    if len(flips) != 4 * len(newlines):
+        return None
+    starts, stops = flips[0::2], flips[1::2]
+    width = stops - starts
+    s0, e0, s1, e1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
+    if not (
+        np.array_equal(e1, newlines)
+        and np.array_equal(s1, e0 + 1)
+        and (b[e0] == _SPACE).all()
+        and (b[s0 - 1] == _SPACE).all()
+        and width.max() <= _ARRAY_MAX_DIGITS
+    ):
+        return None
+    line_starts = np.concatenate(([0], newlines[:-1] + 1))
+    tag = s0 - 1 - line_starts
+    first, second = b[line_starts], b[line_starts + 1]
+    weight = (tag == 2) & (first == _W)
+    code = np.full(len(tag), -1, dtype=np.int8)
+    code[(tag == 1) & (first == _E)] = _EDGE
+    code[weight & (second == _V)] = _VERTEX_WEIGHT
+    code[weight & (second == _E)] = _EDGE_WEIGHT
+    code[0] = _HEADER if tag[0] == 1 else -1  # the text starts with 'p'
+    if (code < 0).any():
+        return None
+
+    # Column c holds each run's digit c places from the right, or 0 where
+    # the run is shorter; its place value is one scalar.
+    values = np.zeros(len(stops), dtype=np.int64)
+    term = np.empty_like(values)
+    at = stops - 1
+    for column in range(int(width.max())):
+        digits = b.take(at, mode="clip")  # clip: short runs near the start read b[0]
+        digits -= np.uint8(48)
+        digits *= width > column
+        values += np.multiply(digits, np.int64(10**column), out=term)
+        at -= 1
+    return values[0::2], values[1::2], code
+
+
+def _parse_graph_arrays(text: str) -> GraphFileData | None:
+    """The parse of a plain graph file (see _plain_records), or None.
+
+    None also covers every plain file the line parser would reject or must
+    judge: counts over MAX_COUNT, a wrong e-line count, a weight index out
+    of range or repeated, any edge build_graph refuses.  So the line parser
+    owns every error.
+    """
+    records = _plain_records(text)
+    if records is None:
+        return None
+    heads, tails, code = records
+    n, m = int(heads[0]), int(tails[0])
+    if n > MAX_COUNT or m > MAX_COUNT or np.count_nonzero(code == _EDGE) != m:
+        return None
+    weight_lines = []
+    for kind, limit in ((_VERTEX_WEIGHT, n), (_EDGE_WEIGHT, m)):
+        idx = heads[code == kind]
+        # a sort, not a bincount: no table as long as the largest index
+        ordered = np.sort(idx)
+        if idx.size and (ordered[-1] >= limit or (ordered[1:] == ordered[:-1]).any()):
+            return None
+        weight_lines.append((tuple(idx.tolist()), tuple(tails[code == kind].tolist())))
+    edges = code == _EDGE
+    try:
+        graph = build_graph(n, np.stack((heads[edges], tails[edges]), axis=1))
+    except GraphError:
+        return None
+    return GraphFileData(graph, *weight_lines)
 
 
 def parse_graph_text(text: str) -> GraphFileData:
+    """Parse a graph file: plain files in arrays, anything else line by line."""
+    data = _parse_graph_arrays(text)
+    return data if data is not None else _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> GraphFileData:
+    """The line-by-line parse: any graph file, and the one source of ParseErrors."""
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -131,12 +300,8 @@ def parse_graph_text(text: str) -> GraphFileData:
         raise ParseError(header_line, str(exc)) from None
     if out_of_range is not None:
         raise out_of_range
-    vw, ew = [1] * n, [1] * m
-    for idx, w in weights["wv"].items():
-        vw[idx] = w
-    for idx, w in weights["we"].items():
-        ew[idx] = w
-    return GraphFileData(graph=graph, vertex_weights=tuple(vw), edge_weights=tuple(ew))
+    vw, ew = weights["wv"], weights["we"]
+    return GraphFileData(graph, (tuple(vw), tuple(vw.values())), (tuple(ew), tuple(ew.values())))
 
 
 def parse_graph_file(path) -> GraphFileData:
@@ -147,7 +312,7 @@ def parse_graph_file(path) -> GraphFileData:
 def format_graph_file(graph: Graph, vertex_weights=None, edge_weights=None) -> str:
     """Deterministic text form; only non-default weights are written."""
     lines = [f"p {graph.vertex_count} {graph.edge_count}"]
-    lines += [f"e {u} {v}" for u, v in graph.edges]
+    lines += [f"e {u} {v}" for u, v in zip(*graph.ends.T.tolist())]
     if vertex_weights is not None:
         lines += [f"wv {v} {w}" for v, w in enumerate(vertex_weights) if w != 1]
     if edge_weights is not None:

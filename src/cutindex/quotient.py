@@ -146,7 +146,7 @@ def quotient_by_edge_classes(
         for w, c in zip(base_vertex_weights, comp.tolist()):
             weights[c] += w
     quotient = build_graph(count, edges)
-    anchors = {j: min(g.edges[theta.classes[j][0]]) for j in class_indices}
+    anchors = {j: int(g.ends[theta.classes[j][0]].min()) for j in class_indices}
     return WeightedQuotient(
         quotient=quotient,
         vertex_weight=tuple(weights),

@@ -201,7 +201,7 @@ def _cut_labelling(g: Graph, theta: ThetaPartition):
                 kind="bad_class_cut", class_edges=cls, component_count=count
             )
         bit = 1 << j
-        for x in np.flatnonzero(comp != comp[min(g.edges[cls[0]])]).tolist():
+        for x in np.flatnonzero(comp != comp[g.ends[cls[0]].min()]).tolist():
             labels[x] |= bit
     return labels
 

@@ -28,6 +28,19 @@ from .core import Graph, GraphError
 from .indices import CutRow, VertexEdgeWeightedGraph, VertexWeightedGraph, indices_from_rows
 
 
+def require_tree_counts(g: Graph) -> None:
+    """Raise GraphError unless g is nonempty with exactly n - 1 edges.
+
+    The O(1) half of the tree check, which callers can make before they
+    build anything per vertex.
+    """
+    n = g.vertex_count
+    if n == 0:
+        raise GraphError("not a tree: empty graph")
+    if g.edge_count != n - 1:
+        raise GraphError(f"not a tree: {n} vertices but {g.edge_count} edges")
+
+
 def _tree_cuts(g: Graph, weights, edge_weights):
     """Yield (edge, w_e, side without vertex 0, rest) for every edge of the tree g.
 
@@ -35,11 +48,8 @@ def _tree_cuts(g: Graph, weights, edge_weights):
     graph or a wrong edge count, after the rows of the peelable part for a
     disconnected one.  edge_weights of None gives every edge weight 1.
     """
+    require_tree_counts(g)
     n = g.vertex_count
-    if n == 0:
-        raise GraphError("not a tree: empty graph")
-    if g.edge_count != n - 1:
-        raise GraphError(f"not a tree: {n} vertices but {g.edge_count} edges")
     ends = g.ends
     degree = np.bincount(ends.ravel(), minlength=n)
     neighbours = np.zeros(n, dtype=np.int64)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -514,6 +518,27 @@ def test_tree_index_single_vertex(tmp_path, capsys):
 
 def test_tree_index_not_a_tree_exit_3(tmp_path):
     assert main(["tree-index", _write(tmp_path, "c4.graph", C4)]) == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("text", ["p 2000000000 0\n", "# line parser\np 2000000000 0\n"])
+def test_tree_index_huge_header_fails_before_per_vertex_weights(tmp_path, text):
+    # Under a 1 GiB address-space limit: nothing per vertex is allocated
+    # before the edge count shows the graph is no tree.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutindex", "tree-index", _write(tmp_path, "huge.graph", text)],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: not a tree: 2000000000 vertices but 0 edges\n"
 
 
 def test_tree_index_json(tmp_path, capsys):

@@ -78,7 +78,8 @@ def _plant_fault(rng, edges, k, n):
 @pytest.mark.parametrize("m", [1, 7, _SCREEN_MIN_EDGES - 1, _SCREEN_MIN_EDGES, 1500])
 def test_build_graph_names_the_first_bad_edge(m):
     # Both sides of the NumPy screen's size limit must name the same edge
-    # with the same text as a plain scalar loop.
+    # with the same text as a plain scalar loop, for pairs and for an int64
+    # array alike.
     rng = random.Random(m)
     n = m + 1
     for trial in range(40):
@@ -93,6 +94,11 @@ def test_build_graph_names_the_first_bad_edge(m):
             assert g.edges == tuple(edges)
             assert g.ends.dtype == np.int64 and g.ends.tolist() == [list(e) for e in edges]
             assert not g.ends.flags.writeable
+            array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            h = ci.build_graph(n, array)
+            assert "edges" not in h.__dict__ and not np.shares_memory(h.ends, array)
+            assert h == g and hash(h) == hash(g) and h.edges == g.edges
+            assert h != ci.build_graph(n + 1, array) and h != ci.build_graph(n, array[:, ::-1])
             continue
         for k in sorted(rng.sample(range(m), min(m, rng.choice((1, 2)))), reverse=True):
             _plant_fault(rng, edges, k, n)
@@ -101,6 +107,10 @@ def test_build_graph_names_the_first_bad_edge(m):
         with pytest.raises(ci.GraphError) as err:
             ci.build_graph(n, edges)
         assert str(err.value) == expected
+        if all(-(2**63) <= x < 2**63 for e in edges for x in e):
+            with pytest.raises(ci.GraphError) as err:
+                ci.build_graph(n, np.array(edges, dtype=np.int64))
+            assert str(err.value) == expected
 
 
 def test_adjacency_first_use_from_many_threads():

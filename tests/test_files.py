@@ -127,3 +127,36 @@ def test_sniff_kind():
 def test_sidecar_format():
     text = format_coords_sidecar(((0, 1), (2, 3)), ("H", "V"))
     assert text == "v 0 0 1\nv 1 2 3\nd 0 H\nd 1 V\n"
+
+
+def test_array_path_builds_no_edge_tuples():
+    data = parse_graph_text("p 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n")
+    assert "edges" not in data.graph.__dict__
+    assert data.graph.ends.tolist() == [[0, 1], [1, 2]]
+    assert data.vertex_weights == (1, 1, 5) and data.edge_weights == (4, 1)
+
+
+def test_huge_header_keeps_weights_sparse():
+    for text in ("p 2000000000 0\nwv 1999999999 3\n", "# c\np 2000000000 0\nwv 1999999999 3\n"):
+        data = parse_graph_text(text)
+        assert data.graph.vertex_count == 2000000000
+        assert data.vertex_weight_lines == ((1999999999,), (3,))
+        assert data.has_nondefault_weights
+
+
+def test_graph_file_data_equality_goes_by_dense_weights():
+    # Both paths, line order and written-out default weights do not count.
+    base = "p 3 2\ne 0 1\ne 1 2\n"
+    same = [
+        base + "wv 0 2\nwv 1 3\n",
+        base + "wv 1 3\nwv 0 2\n",
+        base + "wv 1 3\nwv 2 1\nwv 0 2\nwe 0 1\n",
+        "# line parser\n" + base + "wv 0 2\nwv 1 3\n",
+    ]
+    parsed = [parse_graph_text(text) for text in same]
+    assert all(data == parsed[0] for data in parsed)
+    assert len({hash(data) for data in parsed}) == 1
+    assert parse_graph_text(base) == parse_graph_text(base + "wv 0 1\n")
+    assert parsed[0] != parse_graph_text(base + "wv 0 2\n")
+    assert parsed[0] != parse_graph_text(base + "wv 0 2\nwv 1 3\nwe 1 2\n")
+    assert parsed[0] != parse_graph_text("p 3 2\ne 0 1\ne 0 2\nwv 0 2\nwv 1 3\n")
