@@ -23,9 +23,9 @@ edge classes: no distance matrix, O(cells) work.
 
 Every edge gets a direction tag from its displacement: H, V, D+ or D- for
 C4C8 (three of these for benzenoids).  Grouping the edge classes by tag gives
-the direction partition, whose quotients are trees; for C4C8 systems the
-index pipeline evaluates those weighted trees with the linear tree pass, so
-the whole run is O(n).
+the direction partition, whose quotients are trees for both kinds (for
+benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), so
+c4c8_report reads every class's row off the linear tree pass, in O(n).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, GraphError, _components, build_graph
-from .indices import VertexEdgeWeightedGraph, indices_from_rows
+from .core import Graph, GraphError, _components, bfs_distances, build_graph
+from .indices import CutRow, VertexEdgeWeightedGraph, indices_from_rows
 from .quotient import CoarserPartition, quotient_by_edge_classes, validate_coarser
 from .theta import ThetaPartition
 from .treedp import tree_cut_rows
@@ -270,29 +270,41 @@ def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartiti
     return validate_coarser(theta, groups)
 
 
-def c4c8_report(spec: C4C8Spec):
-    """Indices of a C4C8 system plus its per-class cut rows, all in O(n).
+def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
+    """Indices of a C4C8 or benzenoid system plus its per-class cut rows, all in O(n).
 
-    Returns (wiener, szeged, rows): rows holds one CutRow per edge class,
-    ordered by class index, each the row of one quotient-tree edge mapped
-    back to the class it represents.
+    Returns (wiener, szeged, rows): rows holds one CutRow per edge class, by
+    class index, each the tree pass's row of the quotient-tree edge standing
+    for the class.  C4C8 rows keep the pass's side without vertex 0 first;
+    benzenoid rows put the class anchor's side first, as partition_rows does.
+    A quotient that is no tree, or not one edge per class, raises GraphError.
     """
     g, tags, theta = c4c8_theta_partition(spec)
     cp = direction_partition(g, tags, theta)
+    anchor_first = isinstance(spec, BenzenoidSpec)
     rows = []
     for group in cp.groups:
         wq = quotient_by_edge_classes(g, theta, group)
-        tree = VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)
-        for row in tree_cut_rows(tree):
-            (j,) = wq.class_map[row.class_index]
-            rows.append(row._replace(class_index=j))
+        q = wq.quotient
+        if [len(c) for c in wq.class_map] != [1] * len(group):
+            stand = [sorted(c) for c in wq.class_map]
+            raise GraphError(f"quotient edges stand for classes {stand}; expected one per class")
+        depth = bfs_distances(q, 0) if anchor_first else None
+        tree = VertexEdgeWeightedGraph(q, wq.vertex_weight, wq.edge_weight)
+        for f, size, n1, n2 in tree_cut_rows(tree):
+            (j,) = wq.class_map[f]
+            # n2 is the side of the end of edge f nearer vertex 0
+            anchor = wq.membership[wq.class_anchors[j]]
+            if anchor_first and anchor == min(q.edges[f], key=depth.__getitem__):
+                n1, n2 = n2, n1
+            rows.append(CutRow(j, size, n1, n2))
     rows.sort()
     wiener, szeged = indices_from_rows(rows)
     return wiener, szeged, rows
 
 
-def c4c8_indices(spec: C4C8Spec) -> tuple[int, int]:
-    """Wiener and Szeged index of a C4C8 system in O(n) time."""
+def c4c8_indices(spec: C4C8Spec | BenzenoidSpec) -> tuple[int, int]:
+    """Wiener and Szeged index of a C4C8 or benzenoid system in O(n) time."""
     wiener, szeged, _ = c4c8_report(spec)
     return wiener, szeged
 

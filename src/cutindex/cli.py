@@ -13,15 +13,7 @@ import argparse
 import json
 import sys
 
-from .chem import (
-    BenzenoidSpec,
-    C4C8Spec,
-    build_benzenoid,
-    build_c4c8,
-    c4c8_report,
-    c4c8_theta_partition,
-    direction_partition,
-)
+from .chem import BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report
 from .core import GraphError, IndexOverflowError
 from .files import (
     ParseError,
@@ -160,13 +152,7 @@ def cmd_index(args) -> int:
         # Cell files take geometric classes; no distance matrix of the system.
         if spec is None:
             raise _UsageError("--partition direction requires a cell file")
-        if isinstance(spec, C4C8Spec):
-            # C4C8 quotients are trees: the linear tree pass gives the rows.
-            wiener, szeged, rows = c4c8_report(spec)
-        else:
-            g, tags, theta = c4c8_theta_partition(spec)
-            rows = partition_rows(g, theta, direction_partition(g, tags, theta))
-            wiener, szeged = indices_from_rows(rows)
+        wiener, szeged, rows = c4c8_report(spec)
     elif method == "brute":
         g = _graph_of(data, spec)
         wiener, szeged = wiener_brute(g), szeged_brute(g)

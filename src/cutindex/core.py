@@ -272,10 +272,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
     row block at a time.  Graphs of fewer than _ARRAY_MIN_VERTICES vertices
     take one scalar BFS per source.
 
-    Distances fit 32 bits by contract; the graph must be connected, and the
-    result must fit DISTANCE_MATRIX_MAX_BYTES.
+    Distances fit 32 bits by contract; the result must fit
+    DISTANCE_MATRIX_MAX_BYTES (checked first), and the graph must be connected.
     """
-    require_connected(g)
     n = g.vertex_count
     size = 4 * n * n
     if size > DISTANCE_MATRIX_MAX_BYTES:
@@ -283,6 +282,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
             f"distance matrix of {n} vertices needs {size} bytes,"
             f" over the limit of {DISTANCE_MATRIX_MAX_BYTES} bytes"
         )
+    require_connected(g)
     if n < _ARRAY_MIN_VERTICES:
         d = np.empty((n, n), dtype=np.int32)
         for s in range(n):
@@ -381,9 +381,9 @@ def components_after_removal(g: Graph, removed) -> list[list[int]]:
 #: the kernel's fixed cost, a few dozen NumPy calls, exceeds one Python BFS
 #: over adjacency.  On random trees the two cost the same between 192 and
 #: 256 vertices; at 128 vertices the BFS took 37 us against 47 us, at 512
-#: vertices 158 us against 79 us (2-core x86-64 Linux host).  The traffic
-#: below it is the small quotients whose cuts partition_rows reads, one call
-#: per class.
+#: vertices 158 us against 79 us (2-core x86-64 Linux host).  Below it run
+#: the small quotients whose cuts partition_rows reads, for graph files only,
+#: so no benchmark workload takes this branch.
 _KERNEL_MIN_VERTICES = 256
 
 

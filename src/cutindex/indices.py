@@ -11,7 +11,7 @@ such rows, and indices_from_rows is the one place they are summed:
     quotients of a partition coarser than the Theta partition
     (partition_rows);
   * the tree route, one row per edge of a weighted tree (treedp), which the
-    C4C8 pipeline in chem maps back to the classes of its quotient trees.
+    cell-system pipeline in chem maps back to the classes of its quotient trees.
 
 The brute evaluators work straight from the definitions (distance sums,
 per-edge strict-side counts) and share nothing with the routes; they are the

@@ -5,6 +5,7 @@ import pytest
 
 import cutindex as ci
 from cutindex.chem import _assemble, c4c8_theta_partition
+from cutindex.cli import main
 from helpers import (
     all_benzenoid_cellsets,
     all_c4c8_cellsets,
@@ -221,6 +222,47 @@ def test_c4c8_report_rows_match_cut_summaries():
     assert geo == ref
     assert wiener == sum(a * b for _, _, a, b in rows)
     assert szeged == sum(size * a * b for _, size, a, b in rows)
+
+
+@pytest.mark.parametrize("max_cells", [1, 5, 15, 40])
+def test_benzenoid_report_rows_equal_partition_rows(max_cells):
+    # The tree pass, turned to put the class anchor's side first, gives the
+    # partition route's table row for row.
+    rng = random.Random(61 + max_cells)
+    for _ in range(12):
+        bspec = random_benzenoid(rng, max_cells)
+        g, tags, theta = c4c8_theta_partition(bspec)
+        expected = ci.partition_rows(g, theta, ci.direction_partition(g, tags, theta))
+        wiener, szeged, rows = ci.c4c8_report(bspec)
+        assert rows == expected
+        assert ci.c4c8_indices(bspec) == (wiener, szeged)
+        assert (wiener, szeged) == (ci.wiener_brute(g), ci.szeged_brute(g))
+
+
+@pytest.mark.parametrize("fault", ["split", "merge"])
+def test_report_rejects_classes_not_one_per_quotient_edge(monkeypatch, tmp_path, capsys, fault):
+    # A split class puts two classes on one quotient edge; two merged classes
+    # of one direction put one class on two quotient edges.
+    spec = ci.BenzenoidSpec([(0, 0), (1, 0), (0, 1)])
+    g, tags, theta = c4c8_theta_partition(spec)
+    classes = [list(c) for c in theta.classes]
+    if fault == "split":
+        j = next(j for j, c in enumerate(classes) if len(c) > 1)
+        classes += [classes[j][1:]]
+        classes[j] = classes[j][:1]
+    else:
+        j, k = next((j, k) for j in range(len(classes)) for k in range(j)
+                    if tags[classes[j][0]] == tags[classes[k][0]])
+        classes[k] += classes.pop(j)
+    bad = ci.ThetaPartition.from_classes(classes, g.edge_count)
+    monkeypatch.setattr("cutindex.chem.c4c8_theta_partition", lambda s: (g, tags, bad))
+    with pytest.raises(ci.GraphError, match="expected one per class"):
+        ci.c4c8_report(spec)
+    path = tmp_path / "s.cells"
+    path.write_text("t benzenoid\nc 0 0\nc 1 0\nc 0 1\n")
+    argv = ["index", str(path), "--method", "partition", "--partition", "direction"]
+    assert main(argv) == 3
+    assert "expected one per class" in capsys.readouterr().err
 
 
 def test_fixture_trees_shape():

@@ -356,30 +356,24 @@ def test_index_verbose_stdout_pinned(tmp_path, capsys, name, text, partition, ex
     assert capsys.readouterr().out == expected_json
 
 
-@pytest.mark.parametrize(
-    "text, limit",
-    # A distance matrix on limit or more vertices fails the run.  C4C8 rows
-    # come from the tree pass alone; the benzenoid's quotients, all smaller
-    # than its 22 vertices, are still recognized.
-    [(_C4C8_L3, 0), (_BENZENOID_3X2, 22)],
-    ids=["c4c8", "benzenoid"],
-)
+@pytest.mark.parametrize("text", [_C4C8_L3, _BENZENOID_3X2], ids=["c4c8", "benzenoid"])
 def test_index_direction_builds_no_distance_matrix_of_the_system(
-    tmp_path, capsys, monkeypatch, text, limit
+    tmp_path, capsys, monkeypatch, text
 ):
+    # Both kinds take the tree pass alone: no distance matrix of any size,
+    # and no partition_rows.
     argv = ["index", _write(tmp_path, "s.cells", text), "--method", "partition",
             "--partition", "direction", "--verbose"]
     assert main(argv) == 0
     expected = capsys.readouterr()
-    real = ci.distance_matrix
 
-    def guarded(g):
-        if g.vertex_count >= limit:
-            raise AssertionError(f"distance matrix on {g.vertex_count} vertices")
-        return real(g)
+    def guarded(g, *args):
+        raise AssertionError(f"whole-graph route on {g.vertex_count} vertices")
 
     monkeypatch.setattr("cutindex.theta.distance_matrix", guarded)
     monkeypatch.setattr("cutindex.indices.distance_matrix", guarded)
+    monkeypatch.setattr("cutindex.cli.partition_rows", guarded)
+    monkeypatch.setattr("cutindex.indices.partition_rows", guarded)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
 
@@ -520,11 +514,11 @@ def test_tree_index_not_a_tree_exit_3(tmp_path):
     assert main(["tree-index", _write(tmp_path, "c4.graph", C4)]) == 3
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
-@pytest.mark.parametrize("text", ["p 2000000000 0\n", "# line parser\np 2000000000 0\n"])
-def test_tree_index_huge_header_fails_before_per_vertex_weights(tmp_path, text):
-    # Under a 1 GiB address-space limit: nothing per vertex is allocated
-    # before the edge count shows the graph is no tree.
+_HUGE_HEADERS = ["p 2000000000 0\n", "# line parser\np 2000000000 0\n"]
+
+
+def _run_under_1gib(argv):
+    """Run the CLI in a child process limited to 1 GiB of address space."""
     import resource
 
     def limit():
@@ -533,12 +527,38 @@ def test_tree_index_huge_header_fails_before_per_vertex_weights(tmp_path, text):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutindex", "tree-index", _write(tmp_path, "huge.graph", text)],
+    return subprocess.run(
+        [sys.executable, "-m", "cutindex", *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
     )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("text", _HUGE_HEADERS)
+def test_tree_index_huge_header_fails_before_per_vertex_weights(tmp_path, text):
+    # Under a 1 GiB address-space limit: nothing per vertex is allocated
+    # before the edge count shows the graph is no tree.
+    proc = _run_under_1gib(["tree-index", _write(tmp_path, "huge.graph", text)])
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: not a tree: 2000000000 vertices but 0 edges\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("text", _HUGE_HEADERS, ids=["array-parser", "line-parser"])
+@pytest.mark.parametrize(
+    "command", [["index"], ["index", "--method", "cut"], ["recognize"]],
+    ids=["index", "index-cut", "recognize"],
+)
+def test_huge_header_fails_on_the_matrix_budget_first(tmp_path, text, command):
+    # The budget is checked before the connectivity check, whose labels
+    # would take O(n) memory.
+    path = _write(tmp_path, "huge.graph", text)
+    proc = _run_under_1gib([command[0], path, *command[1:]])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: distance matrix of 2000000000 vertices needs 16000000000000000000 bytes,"
+        " over the limit of 1073741824 bytes\n"
+    )
 
 
 def test_tree_index_json(tmp_path, capsys):
