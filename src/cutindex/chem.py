@@ -286,16 +286,15 @@ def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
     for group in cp.groups:
         wq = quotient_by_edge_classes(g, theta, group)
         q = wq.quotient
-        if [len(c) for c in wq.class_map] != [1] * len(group):
-            stand = [sorted(c) for c in wq.class_map]
+        if len(wq.edge_class) != len(group):
+            stand = list(wq.edge_class)
             raise GraphError(f"quotient edges stand for classes {stand}; expected one per class")
         depth = bfs_distances(q, 0) if anchor_first else None
         tree = VertexEdgeWeightedGraph(q, wq.vertex_weight, wq.edge_weight)
         for f, size, n1, n2 in tree_cut_rows(tree):
-            (j,) = wq.class_map[f]
+            j = wq.edge_class[f]
             # n2 is the side of the end of edge f nearer vertex 0
-            anchor = wq.membership[wq.class_anchors[j]]
-            if anchor_first and anchor == min(q.edges[f], key=depth.__getitem__):
+            if anchor_first and wq.class_anchors[j] == min(q.edges[f], key=depth.__getitem__):
                 n1, n2 = n2, n1
             rows.append(CutRow(j, size, n1, n2))
     rows.sort()

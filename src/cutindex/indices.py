@@ -1,9 +1,10 @@
 """Wiener and Szeged index evaluators.
 
 The cut method makes both indices sums over cuts: a row
-(class_index, size, n1, n2) per cut contributes n1 * n2 to the Wiener index
-and size * n1 * n2 to the Szeged index.  Every fast route is a producer of
-such rows, and indices_from_rows is the one place they are summed:
+CutRow(class_index, size, n1, n2) per cut contributes n1 * n2 to the Wiener
+index and size * n1 * n2 to the Szeged index (CutRow lives in quotient).
+Every fast route is a producer of such rows, and indices_from_rows is the one
+place they are summed:
 
   * the cut route, one row per Theta class of a recognized partial cube
     (cut_class_summaries);
@@ -27,12 +28,11 @@ overflow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import Graph, GraphError, check_u64, component_labels, distance_matrix
-from .quotient import CoarserPartition, quotient_by_edge_classes
+from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
 
 _INT64_SAFE = 2**62
@@ -159,20 +159,6 @@ def szeged_weighted(gww: VertexEdgeWeightedGraph):
     return check_u64(total, "weighted Szeged index")
 
 
-class CutRow(NamedTuple):
-    """One cut of the cut method: class index, class size and side sizes.
-
-    On weighted inputs (tree edges, quotient classes) size and sides are
-    weight sums.  The cut adds n1 * n2 to the Wiener index and
-    size * n1 * n2 to the Szeged index.
-    """
-
-    class_index: int
-    size: int
-    n1: int
-    n2: int
-
-
 def indices_from_rows(rows, weighted: bool = False):
     """(Wiener, Szeged): the sums of n1 * n2 and size * n1 * n2 over cut rows.
 
@@ -219,13 +205,7 @@ def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> lis
     for group in cp.groups:
         wq = quotient_by_edge_classes(g, theta, group)
         edges_of: dict[int, list[int]] = {}
-        for f, represented in enumerate(wq.class_map):
-            if len(represented) != 1:
-                raise GraphError(
-                    f"quotient edge {f} represents original classes {sorted(represented)};"
-                    " expected exactly one"
-                )
-            (j,) = represented
+        for f, j in enumerate(wq.edge_class):
             edges_of.setdefault(j, []).append(f)
         total = sum(wq.vertex_weight)
         for j, cut in edges_of.items():
@@ -235,7 +215,7 @@ def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> lis
                     f"class {j} splits its quotient into {count} parts, expected 2;"
                     " not a cut class"
                 )
-            side = int(comp[wq.membership[wq.class_anchors[j]]])
+            side = int(comp[wq.class_anchors[j]])
             n1 = sum(w for w, c in zip(wq.vertex_weight, comp.tolist()) if c == side)
             rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cut), n1, total - n1))
     rows.sort()

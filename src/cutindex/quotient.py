@@ -4,13 +4,15 @@ A partition of the edge set is *coarser* than the Theta partition when each of
 its groups is a union of Theta classes.  Contracting the components of
 G minus one group F yields the quotient G/F; vertex weights carry component
 sizes (or arbitrary base weights), edge weights carry the number of F-edges
-joining two components.  These weighted quotients are what the partition-based
-index formulas consume.
+joining two components.  Edges fold by component pair; in a genuine quotient
+each quotient edge stands for exactly one class, so one standing for two is a
+GraphError.  Every quotient reader returns CutRows, the row type defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +42,10 @@ def validate_coarser(theta: ThetaPartition, grouping) -> CoarserPartition:
     group_of = [-1] * r
     groups: list[tuple[int, ...]] = []
     for gi, group in enumerate(grouping):
+        group = list(group)
         members = sorted(set(group))
-        if len(members) != len(list(group)):
-            dup = next(j for j in group if list(group).count(j) > 1)
+        if len(members) != len(group):
+            dup = next(j for j in group if group.count(j) > 1)
             raise GraphError(f"class {dup} duplicated within group {gi}")
         if not members:
             raise GraphError(f"group {gi} is empty")
@@ -75,10 +78,10 @@ class WeightedQuotient:
 
     Quotient vertices are the components of G minus the group's edges, ordered
     by smallest contained original vertex.  vertex_weight sums the base
-    weights over each component; edge_weight counts (or weight-sums) the
-    original edges folded into each quotient edge; class_map records, per
-    quotient edge, the original class indices it represents; class_anchors
-    maps each original class in the group to the lower-numbered endpoint of
+    weights over each component; edge_weight counts the original edges folded
+    into each quotient edge; edge_class names, per quotient edge, the one
+    original class it stands for; class_anchors maps each original class in
+    the group to the quotient vertex holding the lower-numbered endpoint of
     its smallest-index edge, which fixes side orientation downstream.
     """
 
@@ -86,7 +89,7 @@ class WeightedQuotient:
     vertex_weight: tuple
     edge_weight: tuple
     membership: tuple[int, ...] = field(repr=False)
-    class_map: tuple[frozenset[int], ...] = field(repr=False)
+    edge_class: tuple[int, ...] = field(repr=False)
     class_anchors: dict[int, int] = field(repr=False)
 
 
@@ -97,7 +100,8 @@ def quotient_by_edge_classes(
 
     This is the construction core shared by build_quotient and the geometric
     (recognition-free) pipeline; it needs only the graph and an edge
-    partition, not a verified partial cube.
+    partition, not a verified partial cube.  A quotient edge whose original
+    edges come from two classes raises GraphError.
     """
     class_indices = tuple(class_indices)
     if base_vertex_weights is not None and len(base_vertex_weights) != g.vertex_count:
@@ -115,29 +119,30 @@ def quotient_by_edge_classes(
             f"edge {k} joins vertices of one component of the cut;"
             " the given classes are not cut classes"
         )
-    # Fold the group's edges by (component pair, class).  f_edges lists the
-    # classes in order, so a stable sort by pair alone orders the entries as
-    # (lo, hi, class) triples and each quotient edge's entries are adjacent.
-    # Nothing packs the class into the key, so no class count can overflow
-    # it; the pair key stays below count² < 2⁶².
+    # Fold the group's edges by component pair.  f_edges lists the classes in
+    # order, so a stable sort keeps each pair's run in class order, and a run
+    # stands for two classes iff its first and last entries differ in class.
+    # The pair key stays below count² < 2⁶².
     pair = np.minimum(a, b) * count + np.maximum(a, b)
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     cls = np.repeat(np.arange(len(class_indices)), sizes)[order]
     new = np.ones(len(pair), dtype=bool)
-    new[1:] = (pair[1:] != pair[:-1]) | (cls[1:] != cls[:-1])
+    new[1:] = pair[1:] != pair[:-1]
     first = np.flatnonzero(new)
     multiplicity = np.diff(first, append=len(pair))
-    edges: list[tuple[int, int]] = []
-    edge_weight: list[int] = []
-    represented: list[set[int]] = []
-    for key, i, c in zip(pair[first].tolist(), cls[first].tolist(), multiplicity.tolist()):
-        if not edges or edges[-1] != divmod(key, count):
-            edges.append(divmod(key, count))
-            edge_weight.append(0)
-            represented.append(set())
-        edge_weight[-1] += c
-        represented[-1].add(class_indices[i])
+    last = first + multiplicity - 1
+    edges, edge_class = [], []
+    for key, i, i_last in zip(pair[first].tolist(), cls[first].tolist(), cls[last].tolist()):
+        if i != i_last:
+            f = len(edges)
+            run = cls[first[f] : last[f] + 1].tolist()
+            raise GraphError(
+                f"quotient edge {f} represents original classes"
+                f" {sorted({class_indices[x] for x in run})}; expected exactly one"
+            )
+        edges.append(divmod(key, count))
+        edge_class.append(class_indices[i])
 
     if base_vertex_weights is None:
         weights = np.bincount(comp, minlength=count).tolist()
@@ -146,13 +151,13 @@ def quotient_by_edge_classes(
         for w, c in zip(base_vertex_weights, comp.tolist()):
             weights[c] += w
     quotient = build_graph(count, edges)
-    anchors = {j: int(g.ends[theta.classes[j][0]].min()) for j in class_indices}
+    anchors = {j: int(comp[min(g.ends[theta.classes[j][0]].tolist())]) for j in class_indices}
     return WeightedQuotient(
         quotient=quotient,
         vertex_weight=tuple(weights),
-        edge_weight=tuple(edge_weight),
+        edge_weight=tuple(multiplicity.tolist()),
         membership=tuple(comp.tolist()),
-        class_map=tuple(map(frozenset, represented)),
+        edge_class=tuple(edge_class),
         class_anchors=anchors,
     )
 
@@ -168,30 +173,29 @@ def build_quotient(
     )
 
 
-@dataclass(frozen=True)
-class QuotientClassSummary:
-    """One Theta class of a quotient and the original-graph data it recovers.
+class CutRow(NamedTuple):
+    """One cut of the cut method: class index, class size and side sizes.
 
-    edge_weight_sum recovers the size of the represented original class;
-    side1_weight/side2_weight recover the weighted cut sides, oriented so
-    side1 corresponds to the original class's own side-1 (the side holding
-    the class anchor vertex).
+    On weighted inputs (tree edges, quotient classes) size and sides are
+    weight sums.  The cut adds n1 * n2 to the Wiener index and
+    size * n1 * n2 to the Szeged index.
     """
 
-    quotient_class: int
-    edges: tuple[int, ...]
-    original_class: int
-    edge_weight_sum: int
-    side1_weight: int
-    side2_weight: int
+    class_index: int
+    size: int
+    n1: int
+    n2: int
 
 
-def quotient_theta_classes(wq: WeightedQuotient) -> list[QuotientClassSummary]:
-    """Per-class summaries of a weighted quotient.
+def quotient_theta_classes(wq: WeightedQuotient) -> list[CutRow]:
+    """The rows of the group's classes, read off the quotient's Theta classes.
 
     The quotient of a partial cube by a coarser group is itself a partial
-    cube; a recognition failure here means the quotient was not built from
-    genuine cut classes and is reported as an error.
+    cube whose Theta classes stand one each for the group's classes; a
+    quotient that fails this was not built from genuine cut classes and is
+    reported as an error.  Each row holds the original class, its size (the
+    class's edge weight) and its weighted sides, the side holding the class
+    anchor first; rows are sorted by class index.
     """
     result = recognize_partial_cube(wq.quotient)
     if not isinstance(result, PartialCube):
@@ -207,14 +211,14 @@ def quotient_theta_classes(wq: WeightedQuotient) -> list[QuotientClassSummary]:
             " not built from cut classes of a partial cube"
         )
 
-    summaries: list[QuotientClassSummary] = []
+    rows: list[CutRow] = []
     seen: set[int] = set()
     for t, cls in enumerate(qpc.theta.classes):
-        represented = frozenset().union(*(wq.class_map[f] for f in cls))
+        represented = {wq.edge_class[f] for f in cls}
         if len(represented) != 1:
             raise GraphError(
-                f"quotient class {t} represents original classes {sorted(represented)};"
-                " expected exactly one"
+                f"quotient class {t} stands for original classes {sorted(represented)};"
+                " not built from cut classes of a partial cube"
             )
         (j,) = represented
         if j in seen:
@@ -224,17 +228,8 @@ def quotient_theta_classes(wq: WeightedQuotient) -> list[QuotientClassSummary]:
         n1_set, n2_set, _ = class_sides(qpc, t)
         n1 = sum(wq.vertex_weight[x] for x in n1_set)
         n2 = sum(wq.vertex_weight[x] for x in n2_set)
-        anchor_side = wq.membership[wq.class_anchors[j]]
-        if anchor_side not in n1_set:
+        if wq.class_anchors[j] not in n1_set:
             n1, n2 = n2, n1
-        summaries.append(
-            QuotientClassSummary(
-                quotient_class=t,
-                edges=cls,
-                original_class=j,
-                edge_weight_sum=sum(wq.edge_weight[f] for f in cls),
-                side1_weight=n1,
-                side2_weight=n2,
-            )
-        )
-    return summaries
+        rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cls), n1, n2))
+    rows.sort()
+    return rows

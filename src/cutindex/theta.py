@@ -61,11 +61,12 @@ class ThetaPartition:
     @staticmethod
     def from_classes(classes, edge_count: int) -> "ThetaPartition":
         """Canonicalize and validate a list of edge-index sets as a partition."""
-        normalized = sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0])
+        normalized = [tuple(sorted(c)) for c in classes]
+        if not all(normalized):
+            raise GraphError("empty edge class")
+        normalized.sort(key=lambda c: c[0])
         class_of = [-1] * edge_count
         for j, cls in enumerate(normalized):
-            if not cls:
-                raise GraphError("empty edge class")
             for k in cls:
                 if not 0 <= k < edge_count:
                     raise GraphError(f"edge index {k} out of range [0,{edge_count})")

@@ -252,10 +252,11 @@ def chain_walk_classes(links) -> list[list[int]]:
 def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices, base_vertex_weights=None):
     """The weighted quotient's data by a per-edge Python fold.
 
-    Returns (vertex_weight, quotient edges, edge_weight, class_map,
+    Returns (vertex_weight, quotient edges, edge_weight, edge_class,
     membership) as quotient_by_edge_classes must give them, or the text of
-    the GraphError it must raise, naming the first edge (groups in the given
-    order, edges ascending) whose ends stay in one component.
+    the GraphError it must raise: first the edge (groups in the given order,
+    edges ascending) whose ends stay in one component, else the first
+    quotient edge that stands for two classes.
     """
     f_edges = [k for j in class_indices for k in theta.classes[j]]
     comp, count = labels_by_removal(g, f_edges)
@@ -276,10 +277,16 @@ def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices, base_v
             entry[0] += 1
             entry[1].add(j)
     keys = sorted(folded)
+    for f, k in enumerate(keys):
+        if len(folded[k][1]) != 1:
+            return (
+                f"quotient edge {f} represents original classes {sorted(folded[k][1])};"
+                " expected exactly one"
+            )
     return (
         tuple(weights),
         tuple(keys),
         tuple(folded[k][0] for k in keys),
-        tuple(frozenset(folded[k][1]) for k in keys),
+        tuple(min(folded[k][1]) for k in keys),
         tuple(comp),
     )

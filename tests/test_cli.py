@@ -454,9 +454,9 @@ def test_generate_octagon(tmp_path, capsys):
     out = str(tmp_path / "oct.graph")
     rc = main(["generate", _write(tmp_path, "oct.cells", OCT), out])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("p 8 8\n")
-    sidecar_lines = open(out + ".coords").read().strip().splitlines()
+    sidecar_lines = Path(out + ".coords").read_text().strip().splitlines()
     assert sum(1 for line in sidecar_lines if line.startswith("v ")) == 8
     assert sum(1 for line in sidecar_lines if line.startswith("d ")) == 8
     data = parse_graph_file(out)
@@ -468,14 +468,14 @@ def test_generate_octagon(tmp_path, capsys):
 def test_generate_hexagon_header(tmp_path):
     out = str(tmp_path / "hex.graph")
     assert main(["generate", _write(tmp_path, "hex.cells", HEX), out]) == 0
-    assert open(out).read().startswith("p 6 6\n")
+    assert Path(out).read_text().startswith("p 6 6\n")
 
 
 def test_generate_two_cells_header(tmp_path):
     out = str(tmp_path / "two.graph")
     cells = _write(tmp_path, "two.cells", "t c4c8\nc 0 0\nc 1 0\n")
     assert main(["generate", cells, out]) == 0
-    assert open(out).read().startswith("p 14 15\n")
+    assert Path(out).read_text().startswith("p 14 15\n")
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -483,8 +483,8 @@ def test_generate_deterministic_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a.graph"), str(tmp_path / "b.graph")
     assert main(["generate", cells, out1]) == 0
     assert main(["generate", cells, out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    assert open(out1 + ".coords", "rb").read() == open(out2 + ".coords", "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    assert Path(out1 + ".coords").read_bytes() == Path(out2 + ".coords").read_bytes()
 
 
 def test_generate_disconnected_exit_2(tmp_path):

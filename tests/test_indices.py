@@ -270,8 +270,7 @@ def _rows_via_quotient_theta(g, theta, cp):
     """The partition rows as recognizing every quotient reads them off."""
     rows = []
     for group in cp.groups:
-        for s in ci.quotient_theta_classes(ci.quotient_by_edge_classes(g, theta, group)):
-            rows.append(ci.CutRow(s.original_class, s.edge_weight_sum, s.side1_weight, s.side2_weight))
+        rows += ci.quotient_theta_classes(ci.quotient_by_edge_classes(g, theta, group))
     return sorted(rows)
 
 

@@ -29,6 +29,15 @@ def test_validate_coarser_rejects_duplicate_and_missing():
         ci.validate_coarser(theta, [{0, 1, 2, 3}])
 
 
+def test_validate_coarser_takes_one_shot_groups():
+    theta = _theta(cycle(4))
+    cp = ci.validate_coarser(theta, [(j for j in [1, 0])])
+    assert cp.groups == ((0, 1),)
+    with pytest.raises(ci.GraphError) as err:
+        ci.validate_coarser(theta, [(j for j in [0, 1, 0])])
+    assert str(err.value) == "class 0 duplicated within group 0"
+
+
 def test_c4_single_class_quotient_is_k2():
     pc = ci.recognize_partial_cube(cycle(4))
     cp = ci.finest_partition(pc.theta)
@@ -47,11 +56,9 @@ def test_c4_coarsest_quotient_is_c4_with_unit_weights():
     assert wq.vertex_weight == (1, 1, 1, 1)
     assert wq.edge_weight == (1, 1, 1, 1)
     # its two Theta classes are the U-classes, one per original class
-    summaries = ci.quotient_theta_classes(wq)
-    assert sorted(s.original_class for s in summaries) == [0, 1]
-    for s in summaries:
-        assert s.edge_weight_sum == 2
-        assert (s.side1_weight, s.side2_weight) == (2, 2)
+    rows = ci.quotient_theta_classes(wq)
+    assert rows == [ci.CutRow(0, 2, 2, 2), ci.CutRow(1, 2, 2, 2)]
+    assert all(isinstance(row, ci.CutRow) for row in rows)
 
 
 def test_q3_single_class_quotient():
@@ -61,8 +68,7 @@ def test_q3_single_class_quotient():
     assert wq.quotient.vertex_count == 2
     assert wq.vertex_weight == (4, 4)
     assert wq.edge_weight == (4,)
-    (s,) = ci.quotient_theta_classes(wq)
-    assert s.edge_weight_sum == 4 and (s.side1_weight, s.side2_weight) == (4, 4)
+    assert ci.quotient_theta_classes(wq) == [ci.CutRow(1, 4, 4, 4)]
 
 
 def test_membership_maps_vertices_to_their_component():
@@ -102,11 +108,8 @@ def test_finest_grouping_matches_class_sides():
     cp = ci.finest_partition(pc.theta)
     for j in range(pc.dimension):
         wq = ci.build_quotient(pc, cp, j)
-        (s,) = ci.quotient_theta_classes(wq)
         n1, n2, size = ci.class_sides(pc, j)
-        assert s.original_class == j
-        assert s.edge_weight_sum == size
-        assert (s.side1_weight, s.side2_weight) == (len(n1), len(n2))
+        assert ci.quotient_theta_classes(wq) == [ci.CutRow(j, size, len(n1), len(n2))]
 
 
 def test_quotients_are_partial_cubes_and_transfer_is_exact():
@@ -121,13 +124,12 @@ def test_quotients_are_partial_cubes_and_transfer_is_exact():
                 assert isinstance(
                     ci.recognize_partial_cube(wq.quotient), ci.PartialCube
                 )
-                summaries = ci.quotient_theta_classes(wq)
-                assert len(summaries) == len(cp.groups[i])
-                for s in summaries:
-                    n1, n2, size = ci.class_sides(pc, s.original_class)
-                    assert s.edge_weight_sum == size
-                    assert (s.side1_weight, s.side2_weight) == (len(n1), len(n2))
-                    seen_classes.add(s.original_class)
+                rows = ci.quotient_theta_classes(wq)
+                assert [row.class_index for row in rows] == list(cp.groups[i])
+                for j, size, n1, n2 in rows:
+                    side1, side2, class_size = ci.class_sides(pc, j)
+                    assert (size, n1, n2) == (class_size, len(side1), len(side2))
+                    seen_classes.add(j)
             assert seen_classes == set(range(pc.dimension))
 
 
@@ -146,8 +148,17 @@ def test_non_cut_classes_rejected():
         ci.quotient_by_edge_classes(g, fake, (0,))
 
 
+def test_fold_rejects_a_quotient_edge_of_two_classes():
+    # C4 with opposite edges 0 and 2 in separate classes: both fold into one quotient edge.
+    g = cycle(4)
+    fake = ci.ThetaPartition.from_classes([[0], [2], [1, 3]], 4)
+    with pytest.raises(ci.GraphError) as err:
+        ci.quotient_by_edge_classes(g, fake, (2, 0))
+    assert str(err.value) == "quotient edge 0 represents original classes [0, 2]; expected exactly one"
+
+
 def _folded(wq):
-    return (wq.vertex_weight, wq.quotient.edges, wq.edge_weight, wq.class_map, wq.membership)
+    return (wq.vertex_weight, wq.quotient.edges, wq.edge_weight, wq.edge_class, wq.membership)
 
 
 def test_array_fold_equals_python_fold():

@@ -20,6 +20,12 @@ from helpers import (
 )
 
 
+def test_from_classes_rejects_an_empty_class():
+    with pytest.raises(ci.GraphError) as err:
+        ci.ThetaPartition.from_classes([[0], []], 1)
+    assert str(err.value) == "empty edge class"
+
+
 def test_theta_related_c4():
     d = ci.distance_matrix(cycle(4))
     assert ci.theta_related(d, (0, 1), (2, 3))  # opposite: 2+2 != 1+1
