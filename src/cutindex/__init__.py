@@ -17,7 +17,6 @@ from .chem import (
     c4c8_theta_partition,
     direction_partition,
     direction_tag,
-    reference_quotient_trees,
 )
 from .core import (
     UNREACHABLE,
@@ -49,7 +48,6 @@ from .quotient import (
     CoarserPartition,
     CutRow,
     WeightedQuotient,
-    build_quotient,
     coarsest_partition,
     finest_partition,
     quotient_by_edge_classes,
@@ -86,7 +84,6 @@ __all__ = [
     "build_benzenoid",
     "build_c4c8",
     "build_graph",
-    "build_quotient",
     "c4c8_indices",
     "c4c8_report",
     "c4c8_theta_partition",
@@ -104,7 +101,6 @@ __all__ = [
     "quotient_by_edge_classes",
     "quotient_theta_classes",
     "recognize_partial_cube",
-    "reference_quotient_trees",
     "szeged_brute",
     "szeged_cut",
     "szeged_tree_linear",

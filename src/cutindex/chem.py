@@ -8,7 +8,7 @@ four mutually adjacent octagons.  Cell sets must be connected under side
 adjacency and must not enclose holes: a system is the full interior of its
 boundary cycle, so a cell set with an interior gap describes no such system
 (and the tree-quotient structure below genuinely fails on it).  A spec is
-validated when it is made.
+validated when it is made, by the components kernel on the cell grid.
 
 Benzenoid systems are modeled the same way on the hexagonal net, with cell
 (a,b) centered at (2a+b, 3b) in a stretched integer embedding.
@@ -30,7 +30,6 @@ c4c8_report reads every class's row off the linear tree pass, in O(n).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,44 +59,42 @@ def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
     return "D+" if dx * dy > 0 else "D-"
 
 
+def _cell_components(keys, width: int, offsets) -> np.ndarray:
+    """Component labels of sorted cell keys row * width + column joined at symmetric offsets."""
+    target = (keys + np.unique([abs(di * width + dj) for di, dj in offsets])[:, None]).ravel()
+    at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    hit = keys[at] == target
+    ends = np.stack([np.flatnonzero(hit) % len(keys), at[hit]], axis=1)
+    return _components(len(keys), ends)[0]
+
+
 def _check_cells(cells, neighbors, complement, kind: str) -> None:
-    """Require a nonempty, connected cell set without enclosed holes."""
+    """Require a nonempty, connected cell set without enclosed holes.
+
+    Keys run in (i, j) order, and the kernel gives the first key label 0.
+    Only cells fewer than n rows and columns from the first cell can be
+    reached from it, so only they are keyed, as small offsets from it.  A hole
+    is an empty cell of the bordered bounding box off the border's component;
+    keys wrapping past a row end join border cells only.
+    """
     if not cells:
         raise GraphError(f"{kind} system needs at least one cell")
-    start = min(cells)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in neighbors:
-            nb = (i + di, j + dj)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if seen != cells:
-        missing = min(cells - seen)
-        raise GraphError(f"disconnected cells: {missing} unreachable from {start}")
-
-    # Flood the complement inward from outside the bounding box; an absent
-    # cell the flood cannot reach is enclosed by the system.
-    lo_i = min(i for i, _ in cells) - 1
-    hi_i = max(i for i, _ in cells) + 1
-    lo_j = min(j for _, j in cells) - 1
-    hi_j = max(j for _, j in cells) + 1
-    outside = {(lo_i, lo_j)}
-    queue = deque(outside)
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in complement:
-            nb = (i + di, j + dj)
-            ni, nj = nb
-            if lo_i <= ni <= hi_i and lo_j <= nj <= hi_j and nb not in cells and nb not in outside:
-                outside.add(nb)
-                queue.append(nb)
-    for i in range(lo_i, hi_i + 1):
-        for j in range(lo_j, hi_j + 1):
-            if (i, j) not in cells and (i, j) not in outside:
-                raise GraphError(f"cell set encloses a hole at {(i, j)}; not a bounded system")
+    n, w = len(cells), 2 * len(cells) + 1
+    start = si, sj = min(cells)
+    keys = np.sort([(i - si) * w + j - sj + n for i, j in cells if i - si < n and abs(j - sj) < n])
+    reach = _cell_components(keys, w, neighbors) == 0
+    if len(keys) < n or not reach.all():
+        seen = {(si + k // w, sj + k % w - n) for k in keys[reach].tolist()}
+        raise GraphError(f"disconnected cells: {min(cells - seen)} unreachable from {start}")
+    rows, cols = np.divmod(keys, w)
+    lo, width = int(cols.min()) - 1, int(cols.max() - cols.min()) + 3
+    box = np.arange((int(rows[-1]) + 3) * width)
+    free = np.setdiff1d(box, (rows + 1) * width + cols - lo, assume_unique=True)
+    outside = _cell_components(free, width, complement) == 0
+    if not outside.all():
+        r, c = divmod(int(free[outside.argmin()]), width)
+        hole = (si + r - 1, sj + lo + c - n)
+        raise GraphError(f"cell set encloses a hole at {hole}; not a bounded system")
 
 
 @dataclass(frozen=True)
@@ -306,22 +303,3 @@ def c4c8_indices(spec: C4C8Spec | BenzenoidSpec) -> tuple[int, int]:
     """Wiener and Szeged index of a C4C8 or benzenoid system in O(n) time."""
     wiener, szeged, _ = c4c8_report(spec)
     return wiener, szeged
-
-
-def reference_quotient_trees() -> tuple[VertexEdgeWeightedGraph, ...]:
-    """The four weighted direction-quotient trees of a small worked example.
-
-    A 28-vertex, 34-edge C4C8 system contracts along its four edge directions
-    to these trees; they serve as exact regression fixtures for the weighted
-    evaluators (indices 499/288/467/388 and 1497/960/1561/972, summing to
-    1642 and 4990).
-    """
-
-    def tree(n, edges, w, w_edge):
-        return VertexEdgeWeightedGraph(build_graph(n, edges), tuple(w), tuple(w_edge))
-
-    star_path = tree(5, [(0, 2), (1, 2), (2, 3), (3, 4)], (4, 4, 8, 7, 5), (2, 2, 4, 3))
-    path_3 = tree(3, [(0, 1), (1, 2)], (4, 12, 12), (2, 4))
-    path_4a = tree(4, [(0, 1), (1, 2), (2, 3)], (8, 8, 7, 5), (4, 3, 3))
-    path_4b = tree(4, [(0, 1), (1, 2), (2, 3)], (4, 10, 10, 4), (2, 3, 2))
-    return star_path, path_3, path_4a, path_4b

@@ -90,9 +90,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.ends)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

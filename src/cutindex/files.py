@@ -304,11 +304,6 @@ def _parse_graph_lines(text: str) -> GraphFileData:
     return GraphFileData(graph, (tuple(vw), tuple(vw.values())), (tuple(ew), tuple(ew.values())))
 
 
-def parse_graph_file(path) -> GraphFileData:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
-
-
 def format_graph_file(graph: Graph, vertex_weights=None, edge_weights=None) -> str:
     """Deterministic text form; only non-default weights are written."""
     lines = [f"p {graph.vertex_count} {graph.edge_count}"]
@@ -349,11 +344,6 @@ def parse_cell_text(text: str) -> tuple[str, list[tuple[int, int]]]:
     if not cells:
         raise ParseError(1, "at least one cell required")
     return kind, cells
-
-
-def parse_cell_file(path) -> tuple[str, list[tuple[int, int]]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cell_text(fh.read())
 
 
 def format_coords_sidecar(coords, tags) -> str:

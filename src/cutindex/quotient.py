@@ -3,10 +3,10 @@
 A partition of the edge set is *coarser* than the Theta partition when each of
 its groups is a union of Theta classes.  Contracting the components of
 G minus one group F yields the quotient G/F; vertex weights carry component
-sizes (or arbitrary base weights), edge weights carry the number of F-edges
-joining two components.  Edges fold by component pair; in a genuine quotient
-each quotient edge stands for exactly one class, so one standing for two is a
-GraphError.  Every quotient reader returns CutRows, the row type defined here.
+sizes, edge weights carry the number of F-edges joining two components.
+Edges fold by component pair; in a genuine quotient each quotient edge stands
+for exactly one class, so one standing for two is a GraphError.  Every
+quotient reader returns CutRows, the row type defined here.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ class CoarserPartition:
     """Groups of Theta-class indices forming a partition of all classes."""
 
     groups: tuple[tuple[int, ...], ...]
-    group_of: tuple[int, ...]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
 
 
 def validate_coarser(theta: ThetaPartition, grouping) -> CoarserPartition:
@@ -39,7 +34,7 @@ def validate_coarser(theta: ThetaPartition, grouping) -> CoarserPartition:
     the offending class index named.
     """
     r = theta.class_count
-    group_of = [-1] * r
+    seen: set[int] = set()
     groups: list[tuple[int, ...]] = []
     for gi, group in enumerate(grouping):
         group = list(group)
@@ -52,14 +47,13 @@ def validate_coarser(theta: ThetaPartition, grouping) -> CoarserPartition:
         for j in members:
             if not 0 <= j < r:
                 raise GraphError(f"class index {j} out of range [0,{r})")
-            if group_of[j] != -1:
+            if j in seen:
                 raise GraphError(f"class {j} duplicated across groups")
-            group_of[j] = gi
+            seen.add(j)
         groups.append(tuple(members))
-    for j, gi in enumerate(group_of):
-        if gi == -1:
-            raise GraphError(f"class {j} missing from the grouping")
-    return CoarserPartition(tuple(groups), tuple(group_of))
+    if len(seen) < r:
+        raise GraphError(f"class {min(set(range(r)) - seen)} missing from the grouping")
+    return CoarserPartition(tuple(groups))
 
 
 def finest_partition(theta: ThetaPartition) -> CoarserPartition:
@@ -77,35 +71,32 @@ class WeightedQuotient:
     """Quotient graph G/F with vertex and edge weights.
 
     Quotient vertices are the components of G minus the group's edges, ordered
-    by smallest contained original vertex.  vertex_weight sums the base
-    weights over each component; edge_weight counts the original edges folded
-    into each quotient edge; edge_class names, per quotient edge, the one
-    original class it stands for; class_anchors maps each original class in
-    the group to the quotient vertex holding the lower-numbered endpoint of
-    its smallest-index edge, which fixes side orientation downstream.
+    by smallest contained original vertex.  vertex_weight counts the vertices
+    of each component; edge_weight counts the original edges folded into each
+    quotient edge; edge_class names, per quotient edge, the one original class
+    it stands for; class_anchors maps each original class in the group to the
+    quotient vertex holding the lower-numbered endpoint of its smallest-index
+    edge, which fixes side orientation downstream.
     """
 
     quotient: Graph
     vertex_weight: tuple
     edge_weight: tuple
-    membership: tuple[int, ...] = field(repr=False)
     edge_class: tuple[int, ...] = field(repr=False)
     class_anchors: dict[int, int] = field(repr=False)
 
 
-def quotient_by_edge_classes(
-    g: Graph, theta: ThetaPartition, class_indices, base_vertex_weights=None
-) -> WeightedQuotient:
+def quotient_by_edge_classes(g: Graph, theta: ThetaPartition, class_indices) -> WeightedQuotient:
     """Build the weighted quotient of g by the union of the given classes.
 
-    This is the construction core shared by build_quotient and the geometric
-    (recognition-free) pipeline; it needs only the graph and an edge
-    partition, not a verified partial cube.  A quotient edge whose original
-    edges come from two classes raises GraphError.
+    It needs only the graph and an edge partition, not a verified partial
+    cube.  A class listed twice, or a quotient edge whose original edges come
+    from two classes, raises GraphError.
     """
     class_indices = tuple(class_indices)
-    if base_vertex_weights is not None and len(base_vertex_weights) != g.vertex_count:
-        raise GraphError("base_vertex_weights length does not match vertex count")
+    if len(set(class_indices)) != len(class_indices):
+        repeated = next(j for j in class_indices if class_indices.count(j) > 1)
+        raise GraphError(f"class {repeated} listed twice in the group")
 
     sizes = [len(theta.classes[j]) for j in class_indices]
     f_edges = [k for j in class_indices for k in theta.classes[j]]
@@ -144,32 +135,15 @@ def quotient_by_edge_classes(
         edges.append(divmod(key, count))
         edge_class.append(class_indices[i])
 
-    if base_vertex_weights is None:
-        weights = np.bincount(comp, minlength=count).tolist()
-    else:
-        weights = [0] * count
-        for w, c in zip(base_vertex_weights, comp.tolist()):
-            weights[c] += w
+    weights = np.bincount(comp, minlength=count).tolist()
     quotient = build_graph(count, edges)
     anchors = {j: int(comp[min(g.ends[theta.classes[j][0]].tolist())]) for j in class_indices}
     return WeightedQuotient(
         quotient=quotient,
         vertex_weight=tuple(weights),
         edge_weight=tuple(multiplicity.tolist()),
-        membership=tuple(comp.tolist()),
         edge_class=tuple(edge_class),
         class_anchors=anchors,
-    )
-
-
-def build_quotient(
-    pc: PartialCube, cp: CoarserPartition, group_index: int, base_vertex_weights=None
-) -> WeightedQuotient:
-    """Weighted quotient of a partial cube by one group of a coarser partition."""
-    if not 0 <= group_index < cp.group_count:
-        raise GraphError(f"group index {group_index} out of range [0,{cp.group_count})")
-    return quotient_by_edge_classes(
-        pc.graph, pc.theta, cp.groups[group_index], base_vertex_weights
     )
 
 

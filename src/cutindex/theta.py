@@ -131,10 +131,6 @@ class PartialCube:
     def dimension(self) -> int:
         return self.theta.class_count
 
-    def label_string(self, v: int) -> str:
-        """Coordinates of v as a bit string, class 0 leftmost."""
-        return "".join("1" if self.labels[v] >> j & 1 else "0" for j in range(self.dimension))
-
 
 @dataclass(frozen=True)
 class RecognitionWitness:

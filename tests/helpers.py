@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import cutindex as ci
 
 
@@ -131,6 +133,25 @@ def tree_rows_by_bfs(t: ci.VertexEdgeWeightedGraph) -> list[ci.CutRow]:
     return rows
 
 
+def reference_quotient_trees() -> tuple[ci.VertexEdgeWeightedGraph, ...]:
+    """The four weighted direction-quotient trees of a small worked example.
+
+    A 28-vertex, 34-edge C4C8 system contracts along its four edge directions
+    to these trees; they serve as exact regression fixtures for the weighted
+    evaluators (indices 499/288/467/388 and 1497/960/1561/972, summing to
+    1642 and 4990).
+    """
+
+    def tree(n, edges, w, w_edge):
+        return ci.VertexEdgeWeightedGraph(ci.build_graph(n, edges), tuple(w), tuple(w_edge))
+
+    star_path = tree(5, [(0, 2), (1, 2), (2, 3), (3, 4)], (4, 4, 8, 7, 5), (2, 2, 4, 3))
+    path_3 = tree(3, [(0, 1), (1, 2)], (4, 12, 12), (2, 4))
+    path_4a = tree(4, [(0, 1), (1, 2), (2, 3)], (8, 8, 7, 5), (4, 3, 3))
+    path_4b = tree(4, [(0, 1), (1, 2), (2, 3)], (4, 10, 10, 4), (2, 3, 2))
+    return star_path, path_3, path_4a, path_4b
+
+
 def random_weights(rng, count: int, hi: int = 100) -> tuple[int, ...]:
     return tuple(rng.randint(1, hi) for _ in range(count))
 
@@ -212,6 +233,46 @@ def random_benzenoid(rng, max_cells: int) -> ci.BenzenoidSpec:
     return _grow_cellset(rng, max_cells, _HEX_NEIGHBORS, ci.BenzenoidSpec)
 
 
+def cell_set_error(cells, neighbors, complement, kind: str) -> str | None:
+    """The GraphError text a cell spec must raise, by Python set floods, or None.
+
+    The first unreachable cell is the smallest one the flood from the
+    smallest cell misses; the first hole is the first absent cell, in
+    (i, j) order over the bounding box, that a flood of the complement from
+    outside the box cannot reach.
+    """
+    cells = set(cells)
+    if not cells:
+        return f"{kind} system needs at least one cell"
+    start = min(cells)
+    seen, queue = {start}, deque([start])
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in neighbors:
+            nb = (i + di, j + dj)
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    if seen != cells:
+        return f"disconnected cells: {min(cells - seen)} unreachable from {start}"
+    lo_i, hi_i = min(i for i, _ in cells) - 1, max(i for i, _ in cells) + 1
+    lo_j, hi_j = min(j for _, j in cells) - 1, max(j for _, j in cells) + 1
+    outside, queue = {(lo_i, lo_j)}, deque([(lo_i, lo_j)])
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in complement:
+            nb = (i + di, j + dj)
+            inside = lo_i <= nb[0] <= hi_i and lo_j <= nb[1] <= hi_j
+            if inside and nb not in cells and nb not in outside:
+                outside.add(nb)
+                queue.append(nb)
+    for i in range(lo_i, hi_i + 1):
+        for j in range(lo_j, hi_j + 1):
+            if (i, j) not in cells and (i, j) not in outside:
+                return f"cell set encloses a hole at {(i, j)}; not a bounded system"
+    return None
+
+
 def labels_by_removal(g: ci.Graph, removed) -> tuple[list[int], int]:
     """(component label per vertex, count) of g minus the removed edges.
 
@@ -249,21 +310,20 @@ def chain_walk_classes(links) -> list[list[int]]:
     return classes
 
 
-def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices, base_vertex_weights=None):
+def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices):
     """The weighted quotient's data by a per-edge Python fold.
 
-    Returns (vertex_weight, quotient edges, edge_weight, edge_class,
-    membership) as quotient_by_edge_classes must give them, or the text of
+    Returns (vertex_weight, quotient edges, edge_weight, edge_class) as
+    quotient_by_edge_classes must give them, or the text of
     the GraphError it must raise: first the edge (groups in the given order,
     edges ascending) whose ends stay in one component, else the first
     quotient edge that stands for two classes.
     """
     f_edges = [k for j in class_indices for k in theta.classes[j]]
     comp, count = labels_by_removal(g, f_edges)
-    base = [1] * g.vertex_count if base_vertex_weights is None else base_vertex_weights
     weights = [0] * count
-    for v, c in enumerate(comp):
-        weights[c] += base[v]
+    for c in comp:
+        weights[c] += 1
     folded: dict[tuple[int, int], list] = {}
     for j in class_indices:
         for k in theta.classes[j]:
@@ -288,5 +348,4 @@ def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices, base_v
         tuple(keys),
         tuple(folded[k][0] for k in keys),
         tuple(min(folded[k][1]) for k in keys),
-        tuple(comp),
     )

@@ -25,6 +25,7 @@ from helpers import (
     random_coarser,
     random_tree,
     random_weights,
+    reference_quotient_trees,
 )
 
 SWEEP_SEED = 20260809
@@ -33,16 +34,16 @@ SWEEP_SEED = 20260809
 def _fixture_wieners():
     return [
         ci.wiener_weighted(ci.VertexWeightedGraph(t.graph, t.w))
-        for t in ci.reference_quotient_trees()
+        for t in reference_quotient_trees()
     ]
 
 
 def _fixture_szegeds():
-    return [ci.szeged_weighted(t) for t in ci.reference_quotient_trees()]
+    return [ci.szeged_weighted(t) for t in reference_quotient_trees()]
 
 
 def test_c01_worked_example_totals():
-    trees = ci.reference_quotient_trees()
+    trees = reference_quotient_trees()
 
     def run():
         w = sum(ci.wiener_weighted(ci.VertexWeightedGraph(t.graph, t.w)) for t in trees)
@@ -104,8 +105,8 @@ def sweep():
         for cp in partitions:
             assert ci.wiener_via_partition(pc, cp) == w0, name
             assert ci.szeged_via_partition(pc, cp) == s0, name
-            for i in range(cp.group_count):
-                wq = ci.build_quotient(pc, cp, i)
+            for i in range(len(cp.groups)):
+                wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[i])
                 # quotient_theta_classes recognizes the quotient and raises
                 # GraphError unless it is a partial cube with one class per
                 # original class of the group.
@@ -191,29 +192,36 @@ def test_c07_tree_dp_equivalence_and_linearity():
         assert ci.wiener_tree_linear(gw) == ci.wiener_weighted(gw)
         assert ci.szeged_tree_linear(gww) == ci.szeged_weighted(gww)
 
-    def dp_seconds(n, runs=3):
-        """The fastest of a few timed tree passes, so host noise does not
-        decide the doubling ratio."""
+    def timed_pass(n):
+        """A function that times one tree pass over the n-vertex path."""
         g = ci.build_graph(n, [(i, i + 1) for i in range(n - 1)])
         gw = ci.VertexWeightedGraph(g, [1] * n)
         gww = ci.VertexEdgeWeightedGraph(g, [1] * n, [1] * (n - 1))
         expected = (n**3 - n) // 6
-        best = float("inf")
-        for _ in range(runs):
+
+        def run():
             gc.disable()
             try:
                 t0 = time.perf_counter()
                 w = ci.wiener_tree_linear(gw)
                 s = ci.szeged_tree_linear(gww)
-                best = min(best, time.perf_counter() - t0)
+                elapsed = time.perf_counter() - t0
             finally:
                 gc.enable()
             assert w == expected and s == expected
-        return best
+            return elapsed
 
-    t1 = dp_seconds(10**6)
+        return run
+
+    # The runs of the two sizes alternate, so host drift hits both alike, and
+    # each size keeps its fastest of 3, so host noise does not decide the ratio.
+    passes = [timed_pass(10**6), timed_pass(2 * 10**6)]
+    best = [float("inf")] * len(passes)
+    for _ in range(3):
+        for i, run in enumerate(passes):
+            best[i] = min(best[i], run())
+    t1, t2 = best
     assert t1 <= 10, f"10^6-vertex path took {t1:.2f} s"
-    t2 = dp_seconds(2 * 10**6)
     # linearity: doubling n costs at most ~2.5x (small additive noise floor)
     assert t2 <= 2.5 * t1 + 0.5, f"scaling {t1:.2f}s -> {t2:.2f}s"
 
@@ -243,7 +251,7 @@ def test_c10_c4c8_structural_claims(sweep):
         assert isinstance(ci.recognize_partial_cube(g), ci.PartialCube)
         assert set(theta_geo.classes) == set(ci.theta_star_classes(g).classes)
         cp = ci.direction_partition(g, tags, theta_geo)
-        for i in range(cp.group_count):
+        for i in range(len(cp.groups)):
             q = ci.quotient_by_edge_classes(g, theta_geo, cp.groups[i]).quotient
             assert q.edge_count == q.vertex_count - 1
         assert ci.c4c8_indices(spec) == (ci.wiener_brute(g), ci.szeged_brute(g))

@@ -9,9 +9,11 @@ from cutindex.cli import main
 from helpers import (
     all_benzenoid_cellsets,
     all_c4c8_cellsets,
+    cell_set_error,
     chain_walk_classes,
     random_benzenoid,
     random_c4c8,
+    reference_quotient_trees,
 )
 
 
@@ -53,6 +55,36 @@ def test_c4c8_rejects_disconnected_and_holes():
         ci.build_c4c8(ci.C4C8Spec(ring))
 
 
+def _spec_error(spec_type, cells):
+    try:
+        spec_type(cells)
+    except ci.GraphError as exc:
+        return str(exc)
+    return None
+
+
+def test_cell_check_texts_equal_set_floods():
+    # Random cell sets, connected, disconnected or holed, some shifted past
+    # int64.  Some get one cell off to the side: a few set sizes along a row,
+    # or up to 2**80 rows away, which must not make the check build the box.
+    rng = random.Random(61)
+    outcomes = set()
+    for trial in range(600):
+        spec_type = (ci.C4C8Spec, ci.BenzenoidSpec)[trial % 2]
+        a, b, p = rng.randint(1, 6), rng.randint(1, 6), rng.random()
+        cells = {(i, j) for i in range(a) for j in range(b) if rng.random() < p}
+        if trial % 5 == 0:
+            cells.add((rng.choice((-1, 1)) * 2 ** rng.randint(2, 80), rng.randint(-3, 3)))
+        elif trial % 5 == 1:
+            cells.add((rng.randint(0, 6), rng.choice((-1, 1)) * rng.randint(1, 3 * len(cells) + 9)))
+        shift = rng.choice((0, 2**70, -(2**70)))
+        cells = [(i + shift, j - shift) for i, j in cells]
+        expected = cell_set_error(cells, spec_type._NEIGHBORS, spec_type._COMPLEMENT, spec_type._KIND)
+        assert _spec_error(spec_type, cells) == expected, cells
+        outcomes.add(next((w for w in ("needs", "disconnected", "hole") if w in (expected or "")), None))
+    assert outcomes == {None, "needs", "disconnected", "hole"}
+
+
 def test_far_translated_cells_build_the_same_system():
     cells = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
     far = 2**70  # past int64: the face join must not overflow
@@ -90,7 +122,7 @@ def test_direction_partition_single_octagon():
     g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
     assert theta.class_count == 4
     cp = ci.direction_partition(g, tags, theta)
-    assert cp.group_count == 4
+    assert len(cp.groups) == 4
     assert all(len(group) == 1 for group in cp.groups)
     assert all(len(theta.classes[g0]) == 2 for (g0,) in cp.groups)
 
@@ -100,14 +132,14 @@ def test_direction_partition_2x2():
         ci.C4C8Spec([(0, 0), (1, 0), (0, 1), (1, 1)])
     )
     cp = ci.direction_partition(g, tags, theta)
-    assert cp.group_count == 4
+    assert len(cp.groups) == 4
 
 
 def test_direction_partition_single_hexagon():
     g, tags, _ = ci.build_benzenoid(ci.BenzenoidSpec([(0, 0)]))
     theta = ci.theta_star_classes(g)
     cp = ci.direction_partition(g, tags, theta)
-    assert cp.group_count == 3
+    assert len(cp.groups) == 3
     assert all(len(group) == 1 for group in cp.groups)
 
 
@@ -187,7 +219,7 @@ def test_direction_quotients_are_trees():
         spec = random_c4c8(rng, 8)
         g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
-        for i in range(cp.group_count):
+        for i in range(len(cp.groups)):
             wq = ci.quotient_by_edge_classes(g, theta, cp.groups[i])
             q = wq.quotient
             assert q.edge_count == q.vertex_count - 1
@@ -200,12 +232,12 @@ def test_benzenoid_direction_partition_reproduces_brute():
         g, tags, _ = ci.build_benzenoid(bspec)
         pc = ci.recognize_partial_cube(g)
         cp = ci.direction_partition(g, tags, pc.theta)
-        assert cp.group_count <= 3
+        assert len(cp.groups) <= 3
         assert ci.wiener_via_partition(pc, cp) == ci.wiener_brute(g)
         assert ci.szeged_via_partition(pc, cp) == ci.szeged_brute(g)
         # benzenoid direction quotients are trees as well
-        for i in range(cp.group_count):
-            q = ci.build_quotient(pc, cp, i).quotient
+        for i in range(len(cp.groups)):
+            q = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[i]).quotient
             assert q.edge_count == q.vertex_count - 1
 
 
@@ -268,7 +300,7 @@ def test_report_rejects_classes_not_one_per_quotient_edge(monkeypatch, tmp_path,
 
 
 def test_fixture_trees_shape():
-    trees = ci.reference_quotient_trees()
+    trees = reference_quotient_trees()
     assert [t.graph.vertex_count for t in trees] == [5, 3, 4, 4]
     assert [sum(t.w) for t in trees] == [28, 28, 28, 28]
     assert [sum(t.w_edge) for t in trees] == [11, 6, 10, 7]

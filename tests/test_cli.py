@@ -9,7 +9,7 @@ import pytest
 
 import cutindex as ci
 from cutindex.cli import main
-from cutindex.files import parse_graph_file
+from cutindex.files import parse_graph_text
 
 C4 = "p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
 C5 = "p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n"
@@ -459,7 +459,7 @@ def test_generate_octagon(tmp_path, capsys):
     sidecar_lines = Path(out + ".coords").read_text().strip().splitlines()
     assert sum(1 for line in sidecar_lines if line.startswith("v ")) == 8
     assert sum(1 for line in sidecar_lines if line.startswith("d ")) == 8
-    data = parse_graph_file(out)
+    data = parse_graph_text(Path(out).read_text())
     g, _, _ = ci.build_c4c8(ci.C4C8Spec([(0, 0)]))
     assert data.graph.edges == g.edges
     assert data.graph.vertex_count == g.vertex_count

@@ -33,7 +33,7 @@ def test_build_k2():
 def test_build_c4_edge_indices_follow_input_order():
     g = ci.build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
-    assert g.degree(0) == 2
+    assert len(g.adjacency[0]) == 2
 
 
 def test_build_rejects_self_loop():

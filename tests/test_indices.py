@@ -13,6 +13,7 @@ from helpers import (
     random_coarser,
     random_tree,
     random_weights,
+    reference_quotient_trees,
 )
 
 
@@ -50,7 +51,7 @@ def test_weighted_collapse_to_unweighted():
 
 
 def test_weighted_fixture_trees():
-    t1, t2, t3, t4 = ci.reference_quotient_trees()
+    t1, t2, t3, t4 = reference_quotient_trees()
     assert ci.wiener_weighted(ci.VertexWeightedGraph(t1.graph, t1.w)) == 499
     assert ci.wiener_weighted(ci.VertexWeightedGraph(t2.graph, t2.w)) == 288
     assert ci.wiener_weighted(ci.VertexWeightedGraph(t3.graph, t3.w)) == 467
@@ -240,8 +241,8 @@ def test_indices_from_rows_equals_each_route_sum():
 
 def _weighted_quotient_sums(pc, cp):
     wiener = szeged = 0
-    for i in range(cp.group_count):
-        wq = ci.build_quotient(pc, cp, i)
+    for i in range(len(cp.groups)):
+        wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[i])
         wiener += ci.wiener_weighted(ci.VertexWeightedGraph(wq.quotient, wq.vertex_weight))
         szeged += ci.szeged_weighted(
             ci.VertexEdgeWeightedGraph(wq.quotient, wq.vertex_weight, wq.edge_weight)

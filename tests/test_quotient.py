@@ -16,7 +16,6 @@ def test_validate_coarser_finest_and_coarsest():
     assert cp.groups == ((0,), (1,), (2,))
     cp = ci.validate_coarser(theta, [{0, 1, 2}])
     assert cp.groups == ((0, 1, 2),)
-    assert cp.group_of == (0, 0, 0)
 
 
 def test_validate_coarser_rejects_duplicate_and_missing():
@@ -41,7 +40,7 @@ def test_validate_coarser_takes_one_shot_groups():
 def test_c4_single_class_quotient_is_k2():
     pc = ci.recognize_partial_cube(cycle(4))
     cp = ci.finest_partition(pc.theta)
-    wq = ci.build_quotient(pc, cp, 0)
+    wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[0])
     assert wq.quotient.vertex_count == 2
     assert wq.quotient.edges == ((0, 1),)
     assert wq.vertex_weight == (2, 2)
@@ -50,7 +49,8 @@ def test_c4_single_class_quotient_is_k2():
 
 def test_c4_coarsest_quotient_is_c4_with_unit_weights():
     pc = ci.recognize_partial_cube(cycle(4))
-    wq = ci.build_quotient(pc, ci.coarsest_partition(pc.theta), 0)
+    (group,) = ci.coarsest_partition(pc.theta).groups
+    wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, group)
     q = wq.quotient
     assert q.vertex_count == 4 and q.edge_count == 4
     assert wq.vertex_weight == (1, 1, 1, 1)
@@ -64,21 +64,11 @@ def test_c4_coarsest_quotient_is_c4_with_unit_weights():
 def test_q3_single_class_quotient():
     pc = ci.recognize_partial_cube(hypercube(3))
     cp = ci.finest_partition(pc.theta)
-    wq = ci.build_quotient(pc, cp, 1)
+    wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[1])
     assert wq.quotient.vertex_count == 2
     assert wq.vertex_weight == (4, 4)
     assert wq.edge_weight == (4,)
     assert ci.quotient_theta_classes(wq) == [ci.CutRow(1, 4, 4, 4)]
-
-
-def test_membership_maps_vertices_to_their_component():
-    pc = ci.recognize_partial_cube(hypercube(3))
-    cp = ci.validate_coarser(pc.theta, [{0, 1}, {2}])
-    wq = ci.build_quotient(pc, cp, 0)
-    f_edges = set(pc.theta.classes[0]) | set(pc.theta.classes[1])
-    comps = ci.components_after_removal(pc.graph, f_edges)
-    for v in range(8):
-        assert v in comps[wq.membership[v]]
 
 
 def test_weight_conservation_and_edge_weight_sum():
@@ -86,28 +76,18 @@ def test_weight_conservation_and_edge_weight_sum():
     pc = ci.recognize_partial_cube(hypercube(4))
     for _ in range(5):
         cp = random_coarser(rng, pc.theta)
-        for i in range(cp.group_count):
-            wq = ci.build_quotient(pc, cp, i)
+        for i in range(len(cp.groups)):
+            wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[i])
             assert sum(wq.vertex_weight) == 16
             group_size = sum(len(pc.theta.classes[j]) for j in cp.groups[i])
             assert sum(wq.edge_weight) == group_size
-
-
-def test_base_weights_propagate():
-    pc = ci.recognize_partial_cube(cycle(4))
-    cp = ci.finest_partition(pc.theta)
-    wq = ci.build_quotient(pc, cp, 0, base_vertex_weights=[10, 1, 2, 3])
-    assert sum(wq.vertex_weight) == 16
-    assert wq.vertex_weight == (13, 3)  # components {0,3} and {1,2}
-    with pytest.raises(ci.GraphError):
-        ci.build_quotient(pc, cp, 0, base_vertex_weights=[1, 1])
 
 
 def test_finest_grouping_matches_class_sides():
     pc = ci.recognize_partial_cube(hypercube(3))
     cp = ci.finest_partition(pc.theta)
     for j in range(pc.dimension):
-        wq = ci.build_quotient(pc, cp, j)
+        wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[j])
         n1, n2, size = ci.class_sides(pc, j)
         assert ci.quotient_theta_classes(wq) == [ci.CutRow(j, size, len(n1), len(n2))]
 
@@ -119,8 +99,8 @@ def test_quotients_are_partial_cubes_and_transfer_is_exact():
         for _ in range(4):
             cp = random_coarser(rng, pc.theta)
             seen_classes = set()
-            for i in range(cp.group_count):
-                wq = ci.build_quotient(pc, cp, i)
+            for i in range(len(cp.groups)):
+                wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[i])
                 assert isinstance(
                     ci.recognize_partial_cube(wq.quotient), ci.PartialCube
                 )
@@ -131,13 +111,6 @@ def test_quotients_are_partial_cubes_and_transfer_is_exact():
                     assert (size, n1, n2) == (class_size, len(side1), len(side2))
                     seen_classes.add(j)
             assert seen_classes == set(range(pc.dimension))
-
-
-def test_group_index_out_of_range():
-    pc = ci.recognize_partial_cube(cycle(4))
-    cp = ci.finest_partition(pc.theta)
-    with pytest.raises(ci.GraphError):
-        ci.build_quotient(pc, cp, 2)
 
 
 def test_non_cut_classes_rejected():
@@ -157,8 +130,16 @@ def test_fold_rejects_a_quotient_edge_of_two_classes():
     assert str(err.value) == "quotient edge 0 represents original classes [0, 2]; expected exactly one"
 
 
+def test_fold_rejects_a_repeated_class():
+    theta = _theta(cycle(4))
+    for group, repeated in (((0, 0), 0), ((1, 0, 1), 1)):
+        with pytest.raises(ci.GraphError) as err:
+            ci.quotient_by_edge_classes(cycle(4), theta, group)
+        assert str(err.value) == f"class {repeated} listed twice in the group"
+
+
 def _folded(wq):
-    return (wq.vertex_weight, wq.quotient.edges, wq.edge_weight, wq.edge_class, wq.membership)
+    return (wq.vertex_weight, wq.quotient.edges, wq.edge_weight, wq.edge_class)
 
 
 def test_array_fold_equals_python_fold():
@@ -170,12 +151,8 @@ def test_array_fold_equals_python_fold():
         for _ in range(3):
             cp = random_coarser(rng, pc.theta)
             for group in cp.groups:
-                n = pc.graph.vertex_count
-                floats = [rng.random() * 10 for _ in range(n)]
-                huge = [2**63 + rng.randrange(2**70) for _ in range(n)]
-                for base in (None, floats, huge):
-                    wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, group, base)
-                    assert _folded(wq) == folded_quotient(pc.graph, pc.theta, group, base)
+                wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, group)
+                assert _folded(wq) == folded_quotient(pc.graph, pc.theta, group)
     for group in ci.direction_partition(g, tags, theta).groups:
         wq = ci.quotient_by_edge_classes(g, theta, group)
         assert _folded(wq) == folded_quotient(g, theta, group)

@@ -263,12 +263,6 @@ def test_hamming_mismatch_helper():
     assert _hamming_mismatch(labels, 72, d) == (0, 2)
 
 
-def test_label_string():
-    pc = ci.recognize_partial_cube(cycle(4))
-    strings = {pc.label_string(v) for v in range(4)}
-    assert strings == {"00", "01", "10", "11"}
-
-
 def _closure_cases():
     rng = random.Random(20160912)
     cases = {f"Q{n}": (lambda n=n: hypercube(n)) for n in range(1, 6)}
