@@ -45,8 +45,26 @@ def _fail(message: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a file; a byte that is not UTF-8 is a ParseError on its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object holds every
+        # byte; lines are counted as the parsers count them, by splitlines.
+        line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, "file is not UTF-8 text") from None
+
+
+def _cell_spec(text: str):
+    """The validated spec of a cell file's text; GraphError for a bad cell set."""
+    kind, cells = parse_cell_text(text)
+    return C4C8Spec(cells) if kind == "c4c8" else BenzenoidSpec(cells)
+
+
+def _build(spec):
+    """(graph, tags, coords) of a cell spec."""
+    return (build_c4c8 if isinstance(spec, C4C8Spec) else build_benzenoid)(spec)
 
 
 def _load_input(path: str):
@@ -57,22 +75,17 @@ def _load_input(path: str):
     """
     text = _read(path)
     if sniff_kind(text) == "cells":
-        kind, cells = parse_cell_text(text)
         try:
-            spec = C4C8Spec(cells) if kind == "c4c8" else BenzenoidSpec(cells)
+            return None, _cell_spec(text)
         except GraphError as exc:
             # Invalid cell sets are input errors, like any other bad file.
             raise ParseError(1, str(exc)) from None
-        return None, spec
     return parse_graph_text(text), None
 
 
 def _graph_of(data, spec):
     """The graph of a loaded input."""
-    if spec is None:
-        return data.graph
-    build = build_c4c8 if isinstance(spec, C4C8Spec) else build_benzenoid
-    return build(spec)[0]
+    return data.graph if spec is None else _build(spec)[0]
 
 
 def _witness_payload(witness):
@@ -204,11 +217,7 @@ def cmd_recognize(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        kind, cells = parse_cell_text(_read(args.cellfile))
-        if kind == "c4c8":
-            g, tags, coords = build_c4c8(C4C8Spec(cells))
-        else:
-            g, tags, coords = build_benzenoid(BenzenoidSpec(cells))
+        g, tags, coords = _build(_cell_spec(_read(args.cellfile)))
     except GraphError as exc:
         _fail(str(exc))
         return 2

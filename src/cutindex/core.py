@@ -8,8 +8,10 @@ quotients) refers to edges by that index, never by endpoint pair.
 The all-pairs distance matrix, which recognition and the brute evaluators
 stand on, is one bit-parallel BFS from all sources at once: 64 sources per
 uint64 word, one gather and one reduceat per level over a CSR neighbour
-array.  It is int32 and at most DISTANCE_MATRIX_MAX_BYTES; larger requests
-fail before anything that size is allocated.
+array.  Graphs of fewer than _ARRAY_MIN_VERTICES vertices take one Python
+BFS per source instead.  The matrix is int32 and at most
+DISTANCE_MATRIX_MAX_BYTES; larger requests fail before anything that size
+is allocated.
 
 Connected components (of g minus some edges: quotient vertices, class
 sides, the connectivity check) come from one hook-and-shortcut kernel over
@@ -18,9 +20,11 @@ to the smaller with np.minimum.at and jumps pointers until every vertex
 points at a root; the tests hold the round count to ceil(log2 n) + 1 on
 adversarial vertex orders as well as random ones.  Components end rooted
 at their smallest vertex, so labels come in smallest-vertex-first order
-without a sort.  component_labels keeps one Python BFS for graphs of
-fewer than _KERNEL_MIN_VERTICES vertices, where the kernel's fixed cost is
-the larger.
+without a sort.
+
+The components kernel runs on graphs of every size and reads only ends;
+components_after_removal, a Python BFS over adjacency, shares no code with
+it and is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -191,12 +195,15 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _disconnected(v: int) -> GraphError:
+    return GraphError(f"graph is disconnected: no path between vertices 0 and {v}")
+
+
 def require_connected(g: Graph) -> None:
-    """Raise GraphError naming two disconnected vertices if g is not connected."""
+    """Raise GraphError naming the first vertex not joined to vertex 0, if any."""
     comp, count = component_labels(g, ())
     if count > 1:
-        v = int(np.flatnonzero(comp)[0])
-        raise GraphError(f"graph is disconnected: no path between vertices 0 and {v}")
+        raise _disconnected(int(np.flatnonzero(comp)[0]))
 
 
 #: The distance matrix takes 4 n^2 bytes; larger requests fail before any
@@ -208,10 +215,13 @@ DISTANCE_MATRIX_MAX_BYTES = 1 << 30
 _GATHER_MAX_BYTES = 1 << 18
 
 #: Graphs of fewer vertices take one scalar BFS per source: there the
-#: kernel's fixed cost, a handful of NumPy calls per level, exceeds n Python
-#: BFS runs.  The traffic is the small quotients that the c03/c04/c05 tests
-#: recognize; with the kernel on every graph of two or more vertices, the
-#: c03 fixture took 7.9 s against 5.7 s (2-core x86-64 Linux host).
+#: kernel's fixed cost (a handful of NumPy calls per level, and the
+#: components kernel for connectivity) exceeds n Python BFS runs.  A
+#: 5-vertex tree took 14 us against 108 us, a 16-vertex tree 77 us against
+#: 199 us; the two met near 24 vertices.  The traffic is small quotient
+#: trees: with the kernel on every graph, c01's evaluation of four trees of
+#: 3-5 vertices, gated at 1 ms, took 0.5-1.2 ms against 0.2-0.4 ms
+#: (2-core x86-64 Linux host).
 _ARRAY_MIN_VERTICES = 17
 
 #: A sweep's distances are written into the result in row blocks of about
@@ -267,7 +277,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     many 64-source words as keep its working set small (_distance_planes);
     each sweep's bit planes are unpacked into its columns of the result one
     row block at a time.  Graphs of fewer than _ARRAY_MIN_VERTICES vertices
-    take one scalar BFS per source.
+    take one scalar BFS per source, whose first row checks connectivity.
 
     Distances fit 32 bits by contract; the result must fit
     DISTANCE_MATRIX_MAX_BYTES (checked first), and the graph must be connected.
@@ -279,12 +289,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
             f"distance matrix of {n} vertices needs {size} bytes,"
             f" over the limit of {DISTANCE_MATRIX_MAX_BYTES} bytes"
         )
-    require_connected(g)
     if n < _ARRAY_MIN_VERTICES:
-        d = np.empty((n, n), dtype=np.int32)
-        for s in range(n):
-            d[s] = bfs_distances(g, s)
-        return d
+        rows = [bfs_distances(g, s) for s in range(n)]
+        if rows and UNREACHABLE in rows[0]:
+            raise _disconnected(rows[0].index(UNREACHABLE))
+        return np.array(rows, dtype=np.int32).reshape(n, n)
+    require_connected(g)
     nbr, starts = _neighbour_csr(g)
     d = np.zeros((n, n), dtype=np.int32)
     sweep = 64 * max(1, _GATHER_MAX_BYTES // (8 * len(nbr)))
@@ -374,16 +384,6 @@ def components_after_removal(g: Graph, removed) -> list[list[int]]:
     return components
 
 
-#: Graphs of fewer vertices take component_labels' scalar BFS: below this
-#: the kernel's fixed cost, a few dozen NumPy calls, exceeds one Python BFS
-#: over adjacency.  On random trees the two cost the same between 192 and
-#: 256 vertices; at 128 vertices the BFS took 37 us against 47 us, at 512
-#: vertices 158 us against 79 us (2-core x86-64 Linux host).  Below it run
-#: the small quotients whose cuts partition_rows reads, for graph files only,
-#: so no benchmark workload takes this branch.
-_KERNEL_MIN_VERTICES = 256
-
-
 def _components(n: int, ends: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Components of the graph on n vertices with the given (k, 2) edges.
 
@@ -421,29 +421,9 @@ def component_labels(g: Graph, removed) -> tuple[np.ndarray, int]:
     """Per-vertex component label for g minus the given edges, plus the count.
 
     removed holds edge indices of g.  Labels are an int64 array in the same
-    smallest-vertex-first order as components_after_removal.  Graphs of at
-    least _KERNEL_MIN_VERTICES vertices go through the array kernel
-    (_components), smaller ones through one Python BFS.
+    smallest-vertex-first order as components_after_removal.
     """
-    n = g.vertex_count
-    if n >= _KERNEL_MIN_VERTICES:
-        keep = np.ones(g.edge_count, dtype=bool)
-        keep[np.fromiter(removed, dtype=np.intp)] = False
-        comp, count, _ = _components(n, g.ends[keep])
-        return comp, count
-    removed = set(removed)
-    comp = [-1] * n
-    count = 0
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        comp[start] = count
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, k in g.adjacency[x]:
-                if k not in removed and comp[y] == -1:
-                    comp[y] = count
-                    queue.append(y)
-        count += 1
-    return np.array(comp, dtype=np.int64), count
+    keep = np.ones(g.edge_count, dtype=bool)
+    keep[np.fromiter(removed, dtype=np.intp)] = False
+    comp, count, _ = _components(g.vertex_count, g.ends[keep])
+    return comp, count

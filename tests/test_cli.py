@@ -130,6 +130,28 @@ def test_header_count_beyond_int32_exit_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: line 1: counts must be at most 2147483647\n"
 
 
+# Lines are counted as the parsers count them: CR and CRLF end a line too.
+# The third file puts the bad byte past the first 8 KiB.
+_NOT_UTF8 = [
+    (b"\xff", 1),
+    (b"t c4c8\rc 0 0\r\nc 1 \xe9\n", 3),
+    (b"# padding\n" * 1000 + b"p 2 1\ne 0 1\xfe\n", 1002),
+]
+
+
+@pytest.mark.parametrize("command", ["index", "recognize", "tree-index", "generate"])
+@pytest.mark.parametrize("data,line", _NOT_UTF8, ids=["first-byte", "after-cr", "past-8k"])
+def test_non_utf8_file_exit_2_naming_its_line(tmp_path, capsys, command, data, line):
+    file = tmp_path / "latin1.txt"
+    file.write_bytes(data)
+    out = tmp_path / "out.graph"
+    assert main([command, str(file)] + ([str(out)] if command == "generate" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: file is not UTF-8 text\n"
+    assert not out.exists()
+
+
 def test_index_missing_file_exit_2(tmp_path):
     assert main(["index", str(tmp_path / "nope.graph")]) == 2
 
@@ -487,9 +509,12 @@ def test_generate_deterministic_bytes(tmp_path):
     assert Path(out1 + ".coords").read_bytes() == Path(out2 + ".coords").read_bytes()
 
 
-def test_generate_disconnected_exit_2(tmp_path):
+def test_generate_disconnected_exit_2(tmp_path, capsys):
     cells = _write(tmp_path, "bad.cells", "t c4c8\nc 0 0\nc 5 5\n")
     assert main(["generate", cells, str(tmp_path / "x.graph")]) == 2
+    # the cell-set error has no line prefix, unlike the same file under index
+    assert capsys.readouterr().err == "error: disconnected cells: (5, 5) unreachable from (0, 0)\n"
+    assert not (tmp_path / "x.graph").exists()
 
 
 def test_tree_index_fixtures(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 import cutindex as ci
 from cutindex import core
 from cutindex.cli import main
-from cutindex.core import _KERNEL_MIN_VERTICES, _SCREEN_MIN_EDGES, _components
+from cutindex.core import _SCREEN_MIN_EDGES, _components
 from helpers import (
     cycle,
     first_bad_edge_message,
@@ -190,10 +190,16 @@ def test_distance_matrix_k2():
     assert d.tolist() == [[0, 1], [1, 0]]
 
 
-def test_distance_matrix_rejects_disconnected():
-    g = ci.build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ci.GraphError, match="0 and 2"):
-        ci.distance_matrix(g)
+def test_distance_matrix_rejects_disconnected(monkeypatch):
+    # two edges apart, and isolated vertices first, last and inside; both paths
+    cases = [((4, [(0, 1), (2, 3)]), 2), ((2, []), 1), ((3, [(1, 2)]), 1)]
+    cases += [((3, [(0, 1)]), 2), ((4, [(0, 1), (1, 3)]), 2)]
+    for minimum in (2, 1 << 30):
+        monkeypatch.setattr(core, "_ARRAY_MIN_VERTICES", minimum)
+        for (n, edges), first in cases:
+            with pytest.raises(ci.GraphError) as err:
+                ci.distance_matrix(ci.build_graph(n, edges))
+            assert str(err.value) == f"graph is disconnected: no path between vertices 0 and {first}"
 
 
 def test_distance_matrix_invariants():
@@ -213,7 +219,7 @@ def test_distance_matrix_invariants():
 
 def _distance_families():
     rng = random.Random(29)
-    graphs = [path(n) for n in (1, 2, 63, 64, 65, 127, 128, 129, 300)]
+    graphs = [path(n) for n in (0, 1, 2, 63, 64, 65, 127, 128, 129, 300)]
     graphs += [cycle(n) for n in (4, 6, 62, 64, 66, 128, 130, 200, 300)]
     graphs += [random_tree(rng, rng.randint(2, 300)) for _ in range(12)]
     graphs += [hypercube(k) for k in range(1, 9)]
@@ -249,6 +255,17 @@ def test_distance_matrix_matches_networkx(monkeypatch, setting):
         d = ci.distance_matrix(g)
         assert d.dtype == np.int32 and d.shape == (n, n)
         assert np.array_equal(d, expected), (n, g.edge_count)
+
+
+def test_kernels_never_build_adjacency():
+    # component_labels at every size, distance_matrix from _ARRAY_MIN_VERTICES up
+    for g in (path(0), path(1), path(2), cycle(4), hypercube(3), ci.build_graph(3, [(0, 1)])):
+        core.component_labels(g, ())
+        core.component_labels(g, range(g.edge_count))
+        assert "adjacency" not in g.__dict__, g.vertex_count
+    for g in (path(core._ARRAY_MIN_VERTICES), hypercube(5)):
+        ci.distance_matrix(g)
+        assert "adjacency" not in g.__dict__, g.vertex_count
 
 
 _BIG_PATH = 16385
@@ -329,13 +346,12 @@ def test_u64_guard():
 
 
 def _component_families():
-    """Graphs on both sides of _KERNEL_MIN_VERTICES, connected or not."""
+    """Graphs from 0 to 1000 vertices, connected or not."""
     rng = random.Random(41)
-    k = _KERNEL_MIN_VERTICES
-    graphs = [ci.build_graph(n, []) for n in (0, 1, 2, 5, k, 300)]
-    graphs += [path(n) for n in (1, 2, k - 1, k, k + 1)]
-    graphs += [cycle(n) for n in (4, 10, k - 2, k, k + 2, 2 * k + 2)]
-    graphs += [random_tree(rng, n) for n in (3, 60, k - 1, k, k + 1, 2 * k + 1, 1000)]
+    graphs = [ci.build_graph(n, []) for n in (0, 1, 2, 5, 256, 300)]
+    graphs += [path(n) for n in (1, 2, 255, 256, 257)]
+    graphs += [cycle(n) for n in (4, 10, 254, 256, 258, 514)]
+    graphs += [random_tree(rng, n) for n in (3, 60, 255, 256, 257, 513, 1000)]
     graphs += [hypercube(d) for d in range(1, 10)]
     graphs += [ci.build_c4c8(random_c4c8(rng, 8))[0] for _ in range(3)]
     graphs += [ci.build_benzenoid(random_benzenoid(rng, 8))[0] for _ in range(3)]
@@ -343,7 +359,7 @@ def _component_families():
     graphs.append(ci.build_c4c8(ci.C4C8Spec([(i, j) for i in range(8) for j in range(8)]))[0])
     hexagons = [(i, j) for i in range(12) for j in range(9)]
     graphs.append(ci.build_benzenoid(ci.BenzenoidSpec(hexagons))[0])
-    for n in (20, 100, k - 1, k, k + 1, 700):
+    for n in (20, 100, 255, 256, 257, 700):
         # random graphs on a random subset of the vertices; the rest stay isolated
         used = rng.sample(range(n), rng.randint(2, n))
         pairs = {tuple(sorted(rng.sample(used, 2))) for _ in range(len(used))}
@@ -351,18 +367,54 @@ def _component_families():
     return graphs
 
 
-@pytest.mark.parametrize("minimum", ["shipped", "kernel", "scalar"])
-def test_component_labels_match_bfs_oracle(monkeypatch, minimum):
-    value = {"shipped": _KERNEL_MIN_VERTICES, "kernel": 0, "scalar": 1 << 30}[minimum]
-    monkeypatch.setattr(core, "_KERNEL_MIN_VERTICES", value)
-    rng = random.Random(43)
+def _union_find_labels(g, removed):
+    """(label per vertex, count) from a union-find that shares no code with src."""
+    parent = list(range(g.vertex_count))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    removed = set(removed)
+    for k, (u, v) in enumerate(g.ends.tolist()):
+        if k not in removed:
+            ru, rv = root(u), root(v)
+            parent[max(ru, rv)] = min(ru, rv)
+    # each root is its component's smallest vertex
+    roots = [root(v) for v in range(g.vertex_count)]
+    rank = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return [rank[r] for r in roots], len(rank)
+
+
+def _route_labels(route, g, removed, rng):
+    if route == "shipped":
+        comp, count = core.component_labels(g, removed)
+        return comp.tolist(), count
+    if route == "kernel":
+        # the kernel alone, on the kept edge rows shuffled and each flipped at random
+        removed = set(removed)
+        rows = [e[::-1] if rng.random() < 0.5 else e for k, e in enumerate(g.ends.tolist()) if k not in removed]
+        rng.shuffle(rows)
+        comp, count, _ = _components(g.vertex_count, np.array(rows, dtype=np.int64).reshape(-1, 2))
+        return comp.tolist(), count
+    return labels_by_removal(g, removed)
+
+
+@pytest.mark.parametrize("route", ["shipped", "kernel", "scalar"])
+def test_component_labels_match_bfs_oracle(route):
+    # shipped: component_labels; kernel: _components, blind to edge order and
+    # orientation; scalar: the Python BFS oracle itself, against a union-find
+    rng, order_rng = random.Random(43), random.Random(44)
     for g in _component_families():
         m = g.edge_count
         one = [rng.randrange(m)] if m else []
         for removed in ((), tuple(range(m)), set(rng.sample(range(m), m // 2)), one):
-            expected = labels_by_removal(g, removed)
-            comp, count = core.component_labels(g, removed)
-            assert (comp.tolist(), count) == expected, (g.vertex_count, m, len(removed))
+            oracle = _union_find_labels if route == "scalar" else labels_by_removal
+            expected = oracle(g, removed)
+            got = _route_labels(route, g, removed, order_rng)
+            assert got == expected, (route, g.vertex_count, m, len(removed))
 
 
 def test_components_kernel_small_and_empty():
@@ -403,7 +455,7 @@ def test_components_kernel_rounds_stay_logarithmic(n):
 
 
 def test_require_connected_names_first_vertex_above_kernel_constant():
-    n = 3 * _KERNEL_MIN_VERTICES
+    n = 768
     rng = random.Random(47)
     order = list(range(n))
     rng.shuffle(order)
