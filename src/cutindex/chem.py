@@ -68,14 +68,18 @@ def _cell_components(keys, width: int, offsets) -> np.ndarray:
     return _components(len(keys), ends)[0]
 
 
-def _check_cells(cells, neighbors, complement, kind: str) -> None:
+def _check_cells(cells, neighbors, complement, faces, kind: str) -> None:
     """Require a nonempty, connected cell set without enclosed holes.
 
     Keys run in (i, j) order, and the kernel gives the first key label 0.
     Only cells fewer than n rows and columns from the first cell can be
-    reached from it, so only they are keyed, as small offsets from it.  A hole
-    is an empty cell of the bordered bounding box off the border's component;
-    keys wrapping past a row end join border cells only.
+    reached from it, so only they are keyed, as small offsets from it.  A
+    connected set has no hole iff its Euler characteristic, cells minus
+    adjacent pairs plus faces (cells with every offset of a face present),
+    is 1; that takes O(n log n) work whatever the set's extent.  Only a set
+    with a hole pays for naming it: a hole is an empty cell of the bordered
+    bounding box off the border's component; keys wrapping past a row end
+    join border cells only.
     """
     if not cells:
         raise GraphError(f"{kind} system needs at least one cell")
@@ -86,6 +90,15 @@ def _check_cells(cells, neighbors, complement, kind: str) -> None:
     if len(keys) < n or not reach.all():
         seen = {(si + k // w, sj + k % w - n) for k in keys[reach].tolist()}
         raise GraphError(f"disconnected cells: {min(cells - seen)} unreachable from {start}")
+
+    def present(di, dj):
+        target = keys + di * w + dj
+        return keys[np.minimum(np.searchsorted(keys, target), n - 1)] == target
+
+    pairs = sum(np.count_nonzero(present(*o)) for o in neighbors if o > (0, 0))  # each once
+    full = sum(np.count_nonzero(np.all([present(*o) for o in face], axis=0)) for face in faces)
+    if n - pairs + full == 1:
+        return
     rows, cols = np.divmod(keys, w)
     lo, width = int(cols.min()) - 1, int(cols.max() - cols.min()) + 3
     box = np.arange((int(rows[-1]) + 3) * width)
@@ -105,7 +118,7 @@ class _CellSpec:
 
     def __init__(self, cells):
         cells = frozenset((int(i), int(j)) for i, j in cells)
-        _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._KIND)
+        _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
         object.__setattr__(self, "cells", cells)
 
 
@@ -113,6 +126,7 @@ class C4C8Spec(_CellSpec):
     """Octagon cells of a C4C8 system on the truncated-square net."""
 
     _KIND, _NEIGHBORS, _COMPLEMENT = "C4C8", _SQUARE_NEIGHBORS, _SQUARE_COMPLEMENT
+    _FACES = (((0, 1), (1, 0), (1, 1)),)  # 2 x 2 blocks
 
     def faces(self):
         """(centers, corner offsets) of the octagons and of the squares they surround."""
@@ -131,6 +145,7 @@ class BenzenoidSpec(_CellSpec):
     """Hexagon cells (axial coordinates) of a benzenoid system."""
 
     _KIND, _NEIGHBORS, _COMPLEMENT = "benzenoid", _HEX_NEIGHBORS, _HEX_NEIGHBORS
+    _FACES = (((1, 0), (0, 1)), ((1, 0), (1, -1)))  # triangles of mutual neighbours
 
     def faces(self):
         """(centers, corner offsets) of the hexagons."""

@@ -15,41 +15,50 @@ place they are summed:
     cell-system pipeline in chem maps back to the classes of its quotient trees.
 
 The brute evaluators work straight from the definitions (distance sums,
-per-edge strict-side counts) and share nothing with the routes; they are the
-oracle that checks them.  Equidistant vertices count on neither side of an
-edge (strict inequalities); bipartite graphs have none, but the weighted
-evaluators implement the strict rule so they are correct on any connected
-input.  Integer-weighted inputs produce exact integers: side classification
-uses integer distance comparisons, and accumulation happens in Python
-integers (with a numpy int64 fast path only when a proven bound rules out
-overflow).
+per-edge strict-side sums) and share nothing with the routes; they are the
+oracle that checks them: one body per index, at unit weight for the
+unweighted ones.  Equidistant vertices count on neither side of an edge, so
+they hold on any connected input.  Both read the distance matrix in row
+blocks against one weight vector whose dtype is the arithmetic: int64 where a
+bound rules out overflow, else the exact Python numbers (float64 for
+non-integer Wiener weights), so integer weights give exact integers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, GraphError, check_u64, component_labels, distance_matrix
+from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
+from .core import component_labels, distance_matrix
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
 
 _INT64_SAFE = 2**62
 
 
-def _reject_negative(weights, what: str) -> None:
-    """Raise GraphError naming the first negative weight.
+def _weights(values, count: int, what: str) -> tuple:
+    """values as a tuple of count Python numbers, none of them negative.
 
-    min screens in C and the scan only names the culprit.  A NaN can hide a
-    negative from min, but then the minimum is NaN, which fails ">= 0", so
-    the scan still runs.
+    NumPy integers wrap where Python ints grow, so an array becomes its
+    tolist() and NumPy scalars in a sequence are converted.  A NaN can hide a
+    negative from min, but then min is NaN and fails ">= 0".
     """
-    if min(weights, default=0) >= 0:
-        return
-    for i, x in enumerate(weights):
-        if x < 0:
-            raise GraphError(f"{what} {i}: negative weight {x}")
+    if isinstance(values, np.ndarray):
+        values = tuple(values.tolist())
+    else:
+        values = tuple(values)
+        if any(issubclass(t, np.generic) for t in set(map(type, values))):
+            values = tuple(x.item() if isinstance(x, np.generic) else x for x in values)
+    if len(values) != count:
+        raise GraphError(f"{what} weight count does not match {what} count")
+    if not min(values, default=0) >= 0:
+        for i, x in enumerate(values):
+            if x < 0:
+                raise GraphError(f"{what} {i}: negative weight {x}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -60,103 +69,92 @@ class VertexWeightedGraph:
     w: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(self.w))
-        if len(self.w) != self.graph.vertex_count:
-            raise GraphError("vertex weight count does not match vertex count")
-        _reject_negative(self.w, "vertex")
+        object.__setattr__(self, "w", _weights(self.w, self.graph.vertex_count, "vertex"))
 
 
 @dataclass(frozen=True)
-class VertexEdgeWeightedGraph:
+class VertexEdgeWeightedGraph(VertexWeightedGraph):
     """A graph with nonnegative vertex weights and edge weights."""
 
-    graph: Graph
-    w: tuple
     w_edge: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(self.w))
-        object.__setattr__(self, "w_edge", tuple(self.w_edge))
-        if len(self.w) != self.graph.vertex_count:
-            raise GraphError("vertex weight count does not match vertex count")
-        if len(self.w_edge) != self.graph.edge_count:
-            raise GraphError("edge weight count does not match edge count")
-        _reject_negative(self.w, "vertex")
-        _reject_negative(self.w_edge, "edge")
+        super().__post_init__()
+        object.__setattr__(self, "w_edge", _weights(self.w_edge, self.graph.edge_count, "edge"))
 
 
-def _all_int(values) -> bool:
-    return all(isinstance(x, (int, np.integer)) for x in values)
+def _weight_vector(w, reach: int, exact: bool) -> np.ndarray:
+    """w as int64 if integers with len(w) * max(w) * reach below _INT64_SAFE.
+
+    Else the Python numbers themselves, or float64 for non-integers unless exact.
+    """
+    if isinstance(sum(w), int):  # a sum of Python ints alone stays an int
+        if len(w) * max(w, default=0) * reach < _INT64_SAFE:
+            return np.array(w, dtype=np.int64)
+        return np.array(w, dtype=object)
+    return np.array(w, dtype=object if exact else np.float64)
+
+
+def _wiener(g: Graph, w, what: str):
+    """Sum over ordered pairs of w(u) w(v) d(u,v) / 2; w of None is unit weight."""
+    d = distance_matrix(g)
+    n = g.vertex_count
+    w = (1,) * n if w is None else w
+    vec = _weight_vector(w, n, exact=False)  # row sums are below n * max(w) * n
+    rows = max(1, _FILL_BLOCK_CELLS // max(n, 1))
+    double = 0
+    for r0 in range(0, n, rows):
+        sums = (d[r0 : r0 + rows] @ vec).tolist()
+        double = sum(map(operator.mul, w[r0 : r0 + rows], sums), double)
+    return check_u64(double // 2 if isinstance(double, int) else double / 2, what)
+
+
+def _szeged(g: Graph, w, w_edge, what: str):
+    """Sum over edges uv of w'(uv) times the weights strictly closer to u, and to v.
+
+    w or w_edge of None is unit weight.  Each block of edges takes the masks
+    d[u] < d[v] and d[v] < d[u] of its rows.  An int64 side is mask @ w;
+    otherwise each side sums only its own weights, so a NaN or inf weight
+    spoils no other side, nor (edges of weight 0 are skipped) the total.
+    """
+    d = distance_matrix(g)
+    n, m = g.vertex_count, g.edge_count
+    w_edge = (1,) * m if w_edge is None else w_edge
+    vec = _weight_vector((1,) * n if w is None else w, 1, exact=True)
+    u, v = g.ends.T
+    block = max(1, _FILL_BLOCK_CELLS // max(n, 1))
+    total = 0
+    for k0 in range(0, m, block):
+        du, dv = d[u[k0 : k0 + block]], d[v[k0 : k0 + block]]
+        masks = du < dv, dv < du
+        if vec.dtype == np.int64:
+            sides = [(mask @ vec).tolist() for mask in masks]
+        else:
+            sides = [list(map(sum, np.where(mask, vec, 0))) for mask in masks]
+        for we, n1, n2 in zip(w_edge[k0 : k0 + block], *sides):
+            if we != 0:
+                total += we * n1 * n2
+    return check_u64(total, what)
 
 
 def wiener_brute(g: Graph) -> int:
     """Sum of distances over unordered vertex pairs, from the distance matrix."""
-    d = distance_matrix(g)
-    n = g.vertex_count
-    if n and n * n * int(d.max(initial=0)) < _INT64_SAFE:
-        total = int(d.sum(dtype=np.int64)) // 2
-    else:
-        total = sum(int(x) for row in d for x in row) // 2
-    return check_u64(total, "Wiener index")
+    return _wiener(g, None, "Wiener index")
 
 
 def szeged_brute(g: Graph) -> int:
     """Sum over edges of the product of strict-side vertex counts."""
-    d = distance_matrix(g)
-    total = 0
-    for u, v in g.edges:
-        cu, cv = d[:, u], d[:, v]
-        n1 = int(np.count_nonzero(cu < cv))
-        n2 = int(np.count_nonzero(cv < cu))
-        total += n1 * n2
-    return check_u64(total, "Szeged index")
-
-
-def _weighted_row_sums(d: np.ndarray, w) -> list:
-    """Per-vertex sums of w(v) * d(u,v), exact for integers and floats alike."""
-    n = len(w)
-    if _all_int(w):
-        w_max = max((int(x) for x in w), default=0)
-        if n * w_max * int(d.max(initial=0)) < _INT64_SAFE:
-            vec = d.astype(np.int64) @ np.asarray([int(x) for x in w], dtype=np.int64)
-            return [int(x) for x in vec]
-        return [sum(int(x) * int(d[u, v]) for v, x in enumerate(w)) for u in range(n)]
-    return [float(np.dot(d[u].astype(np.float64), np.asarray(w, dtype=np.float64))) for u in range(n)]
+    return _szeged(g, None, None, "Szeged index")
 
 
 def wiener_weighted(gw: VertexWeightedGraph):
     """Half the double sum of w(u) w(v) d(u,v) over ordered vertex pairs."""
-    d = distance_matrix(gw.graph)
-    rows = _weighted_row_sums(d, gw.w)
-    double = sum(wu * ru for wu, ru in zip(gw.w, rows))
-    total = double // 2 if isinstance(double, int) else double / 2
-    return check_u64(total, "weighted Wiener index")
+    return _wiener(gw.graph, gw.w, "weighted Wiener index")
 
 
 def szeged_weighted(gww: VertexEdgeWeightedGraph):
     """Sum over edges of w'(e) times the product of strict-side weight sums."""
-    g = gww.graph
-    d = distance_matrix(g)
-    w = gww.w
-    int_fast = (
-        _all_int(w)
-        and len(w) * max((int(x) for x in w), default=0) < _INT64_SAFE
-    )
-    w_arr = np.asarray([int(x) for x in w], dtype=np.int64) if int_fast else None
-    total = 0
-    for k, (u, v) in enumerate(g.edges):
-        we = gww.w_edge[k]
-        if we == 0:
-            continue
-        cu, cv = d[:, u], d[:, v]
-        if int_fast:
-            n1 = int(w_arr[cu < cv].sum())
-            n2 = int(w_arr[cv < cu].sum())
-        else:
-            n1 = sum(w[x] for x in np.flatnonzero(cu < cv))
-            n2 = sum(w[x] for x in np.flatnonzero(cv < cu))
-        total += we * n1 * n2
-    return check_u64(total, "weighted Szeged index")
+    return _szeged(gww.graph, gww.w, gww.w_edge, "weighted Szeged index")
 
 
 def indices_from_rows(rows, weighted: bool = False):

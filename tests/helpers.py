@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import cutindex as ci
+
+
+def run_under_1gib(*args):
+    """Run the Python interpreter on args in a child limited to 1 GiB of address space."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
 
 
 def hypercube(n: int) -> ci.Graph:
@@ -106,6 +126,43 @@ def first_bad_edge_message(n: int, edges) -> str | None:
             return f"edge {k} = ({u},{v}): duplicate edge"
         seen.add(frozenset((u, v)))
     return None
+
+
+def indices_by_definition(g: ci.Graph, w=None, w_edge=None):
+    """(weighted Wiener, weighted Szeged) of a connected graph, by plain Python.
+
+    Distances come from one BFS per vertex over neighbour lists built here;
+    the Wiener index sums w(u) w(v) d(u,v) over unordered pairs, and the
+    Szeged index sums, over edges uv, w'(uv) times the weight of the
+    vertices strictly closer to u times that of those strictly closer to v.
+    w and w_edge of None are unit weights.  Shares no code with indices.
+    """
+    n = g.vertex_count
+    w = [1] * n if w is None else list(w)
+    w_edge = [1] * g.edge_count if w_edge is None else list(w_edge)
+    nbrs = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = []
+    for s in range(n):
+        d = {s: 0}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in nbrs[x]:
+                if y not in d:
+                    d[y] = d[x] + 1
+                    queue.append(y)
+        assert len(d) == n, "graph is disconnected"
+        dist.append([d[x] for x in range(n)])
+    wiener = sum(w[u] * w[v] * dist[u][v] for u in range(n) for v in range(u + 1, n))
+    szeged = 0
+    for (u, v), we in zip(g.edges, w_edge):
+        n1 = sum(w[x] for x in range(n) if dist[x][u] < dist[x][v])
+        n2 = sum(w[x] for x in range(n) if dist[x][v] < dist[x][u])
+        szeged += we * n1 * n2
+    return wiener, szeged
 
 
 def tree_rows_by_bfs(t: ci.VertexEdgeWeightedGraph) -> list[ci.CutRow]:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     random_benzenoid,
     random_c4c8,
     reference_quotient_trees,
+    run_under_1gib,
 )
 
 
@@ -83,6 +85,23 @@ def test_cell_check_texts_equal_set_floods():
         assert _spec_error(spec_type, cells) == expected, cells
         outcomes.add(next((w for w in ("needs", "disconnected", "hole") if w in (expected or "")), None))
     assert outcomes == {None, "needs", "disconnected", "hole"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "spec_type, cells",
+    [
+        ("C4C8Spec", "[(k // 2 + k % 2, k // 2) for k in range(20000)]"),
+        ("BenzenoidSpec", "[(k, -k) for k in range(20000)]"),
+    ],
+    ids=["c4c8-staircase", "benzenoid-diagonal"],
+)
+def test_sparse_cell_sets_validate_in_bounded_memory(spec_type, cells):
+    # Valid sets whose bounding box holds 10^8 cells or more: the hole check
+    # must not flood the box.
+    code = f"import cutindex as ci; print(len(ci.{spec_type}({cells}).cells))"
+    proc = run_under_1gib("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "20000\n", "")
 
 
 def test_far_translated_cells_build_the_same_system():

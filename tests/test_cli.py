@@ -1,7 +1,5 @@
 import json
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +8,7 @@ import pytest
 import cutindex as ci
 from cutindex.cli import main
 from cutindex.files import parse_graph_text
+from helpers import run_under_1gib
 
 C4 = "p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
 C5 = "p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n"
@@ -542,28 +541,12 @@ def test_tree_index_not_a_tree_exit_3(tmp_path):
 _HUGE_HEADERS = ["p 2000000000 0\n", "# line parser\np 2000000000 0\n"]
 
 
-def _run_under_1gib(argv):
-    """Run the CLI in a child process limited to 1 GiB of address space."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "cutindex", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
-    )
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 @pytest.mark.parametrize("text", _HUGE_HEADERS)
 def test_tree_index_huge_header_fails_before_per_vertex_weights(tmp_path, text):
     # Under a 1 GiB address-space limit: nothing per vertex is allocated
     # before the edge count shows the graph is no tree.
-    proc = _run_under_1gib(["tree-index", _write(tmp_path, "huge.graph", text)])
+    proc = run_under_1gib("-m", "cutindex", "tree-index", _write(tmp_path, "huge.graph", text))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: not a tree: 2000000000 vertices but 0 edges\n"
 
@@ -578,7 +561,7 @@ def test_huge_header_fails_on_the_matrix_budget_first(tmp_path, text, command):
     # The budget is checked before the connectivity check, whose labels
     # would take O(n) memory.
     path = _write(tmp_path, "huge.graph", text)
-    proc = _run_under_1gib([command[0], path, *command[1:]])
+    proc = run_under_1gib("-m", "cutindex", command[0], path, *command[1:])
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
         "error: distance matrix of 2000000000 vertices needs 16000000000000000000 bytes,"

@@ -1,13 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
 import cutindex as ci
+import cutindex.indices
 from cutindex.chem import c4c8_theta_partition
+from cutindex.core import U64_MAX
 from helpers import (
+    complete,
     cycle,
     hypercube,
+    indices_by_definition,
     path,
+    petersen,
     random_benzenoid,
     random_c4c8,
     random_coarser,
@@ -40,6 +46,99 @@ def test_brute_rejects_disconnected():
         ci.wiener_brute(g)
     with pytest.raises(ci.GraphError):
         ci.szeged_brute(g)
+
+
+def _connected_gnp(rng, n, p):
+    while True:
+        g = ci.build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        if len(ci.components_after_removal(g, ())) == 1:
+            return g
+
+
+_RNG = random.Random(41)
+_ORACLE_GRAPHS = {
+    "n0": ci.build_graph(0, []),
+    "n1": ci.build_graph(1, []),
+    "n2": path(2),
+    "C5": cycle(5),
+    "K4": complete(4),
+    "petersen": petersen(),
+    "Q3": hypercube(3),
+    **{f"gnp{i}": _connected_gnp(_RNG, _RNG.randint(3, 30), 0.25) for i in range(4)},
+}
+
+
+def _oracle_weights(kind, g, rng):
+    n, m = g.vertex_count, g.edge_count
+    if kind == "unit":
+        return [1] * n, [1] * m
+    if kind == "int":
+        return [rng.randint(0, 9) for _ in range(n)], [rng.randint(0, 9) for _ in range(m)]
+    if kind == "2**70":  # past int64: exact Python ints
+        return [rng.choice((1, 2**70)) for _ in range(n)], [2**70] * m
+    if kind == "float":
+        return [rng.random() * 4 for _ in range(n)], [rng.random() for _ in range(m)]
+    return [rng.randint(1, 9) for _ in range(n)], [0] * m  # zero edge weights
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3], ids=["shipped-blocks", "1-row", "3-rows"])
+@pytest.mark.parametrize("kind", ["unit", "int", "2**70", "float", "zero-edge"])
+@pytest.mark.parametrize("name", list(_ORACLE_GRAPHS))
+def test_evaluators_match_the_definition(monkeypatch, name, kind, rows_per_block):
+    # Non-bipartite graphs too, where equidistant vertices count on neither
+    # side; patching the block size splits the matrix into many row blocks.
+    g = _ORACLE_GRAPHS[name]
+    if rows_per_block is not None:
+        monkeypatch.setattr(cutindex.indices, "_FILL_BLOCK_CELLS", rows_per_block * max(g.vertex_count, 1))
+    w, w_edge = _oracle_weights(kind, g, random.Random(f"{name}/{kind}"))
+    got = (
+        _outcome(ci.wiener_weighted, ci.VertexWeightedGraph(g, w)),
+        _outcome(ci.szeged_weighted, ci.VertexEdgeWeightedGraph(g, w, w_edge)),
+    )
+    wiener, szeged = indices_by_definition(g, w, w_edge)
+    if kind == "float":
+        assert got == pytest.approx((wiener, szeged), rel=1e-12)
+        return
+    # Past 2**64 - 1 the error names the exact value.
+    expected = (_checked(wiener, "weighted Wiener index"), _checked(szeged, "weighted Szeged index"))
+    assert got == expected
+    assert all(type(x) in (int, str) for x in got)
+    if kind == "unit":
+        assert (ci.wiener_brute(g), ci.szeged_brute(g)) == expected
+
+
+def _outcome(evaluator, graph):
+    try:
+        return evaluator(graph)
+    except ci.IndexOverflowError as exc:
+        return str(exc)
+
+
+def _checked(value, what):
+    return value if value <= U64_MAX else f"{what} {value} exceeds unsigned 64-bit range"
+
+
+def test_szeged_nan_weight_stays_on_its_side():
+    # Edge (0, 1) of a triangle: vertex 2 is equidistant, so its NaN weight
+    # is on neither side; the edges it is a side of have weight 0.
+    g = complete(3)
+    assert ci.szeged_weighted(ci.VertexEdgeWeightedGraph(g, (1, 1, float("nan")), (1, 0, 0))) == 1
+
+
+@pytest.mark.parametrize("form", ["array", "scalars"])
+def test_numpy_integer_weights_do_not_wrap(form):
+    g = path(2)
+
+    def weights(values):
+        return np.array(values, dtype=np.int64) if form == "array" else [np.int64(x) for x in values]
+
+    gw = ci.VertexWeightedGraph(g, weights([2**31, 2**31]))
+    assert all(type(x) is int for x in gw.w)
+    assert ci.wiener_weighted(gw) == 2**62
+    tree = ci.VertexEdgeWeightedGraph(g, weights([2**31, 2**31]), weights([2]))
+    assert ci.tree_indices(tree) == (2**62, 2**63)
+    with pytest.raises(ci.IndexOverflowError, match="^weighted Wiener index 1208925819614629174706176 "):
+        ci.wiener_weighted(ci.VertexWeightedGraph(g, weights([2**40, 2**40])))
 
 
 def test_weighted_collapse_to_unweighted():
@@ -174,6 +273,17 @@ def test_negative_weight_rejected():
     with pytest.raises(ci.GraphError, match="^edge 1: negative weight -0.5$"):
         ci.VertexEdgeWeightedGraph(path(4), [1, 1, 1, 1], [float("nan"), -0.5, -7])
     ci.VertexEdgeWeightedGraph(path(3), [0, float("nan"), 2], [0, 0])
+
+
+def test_weight_counts_and_iterables():
+    with pytest.raises(ci.GraphError, match="^vertex weight count does not match vertex count$"):
+        ci.VertexWeightedGraph(path(3), [1, 1])
+    with pytest.raises(ci.GraphError, match="^edge weight count does not match edge count$"):
+        ci.VertexEdgeWeightedGraph(path(3), [1, 1, 1], [1])
+    # any iterable is taken, and the types keep tuples of Python numbers
+    t = ci.VertexEdgeWeightedGraph(path(3), (x for x in (1, 2.5, 3)), iter([4, 5]))
+    assert (t.w, t.w_edge) == ((1, 2.5, 3), (4, 5))
+    assert isinstance(t, ci.VertexWeightedGraph)
 
 
 def test_zero_edge_weights_annihilate():
