@@ -15,11 +15,13 @@ Benzenoid systems are modeled the same way on the hexagonal net, with cell
 
 Both kinds are assembled by one face join.  Each spec lists its bounded
 faces by center and corner offsets: the octagons plus every square all four
-of whose octagons exist, or the hexagons.  An elementary cut crosses a bounded
+of whose octagons exist, or the hexagons.  The join numbers the corners and
+the sides by the inverses of two sorts.  An elementary cut crosses a bounded
 face by entering through one side and leaving through the opposite one
-(octagon a~a+4, square a~a+2, hexagon a~a+3), so the pass that numbers the
-face sides also links opposite sides, and the chains of those links are the
-edge classes: no distance matrix, O(cells) work.
+(octagon a~a+4, square a~a+2, hexagon a~a+3), so the join also pairs
+opposite sides, and the components of those pairs, found by the components
+kernel, are the edge classes: no distance matrix, and nothing above O(cells)
+but the two sorts.
 
 Every edge gets a direction tag from its displacement: H, V, D+ or D- for
 C4C8 (three of these for benzenoids).  Grouping the edge classes by tag gives
@@ -31,6 +33,7 @@ c4c8_report reads every class's row off the linear tree pass, in O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -59,11 +62,17 @@ def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
     return "D+" if dx * dy > 0 else "D-"
 
 
+def _find(keys, target) -> np.ndarray:
+    """Position of each target among the sorted nonempty keys, -1 where it is absent."""
+    at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    return np.where(keys[at] == target, at, -1)
+
+
 def _cell_components(keys, width: int, offsets) -> np.ndarray:
     """Component labels of sorted cell keys row * width + column joined at symmetric offsets."""
     target = (keys + np.unique([abs(di * width + dj) for di, dj in offsets])[:, None]).ravel()
-    at = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-    hit = keys[at] == target
+    at = _find(keys, target)
+    hit = at >= 0
     ends = np.stack([np.flatnonzero(hit) % len(keys), at[hit]], axis=1)
     return _components(len(keys), ends)[0]
 
@@ -92,8 +101,7 @@ def _check_cells(cells, neighbors, complement, faces, kind: str) -> None:
         raise GraphError(f"disconnected cells: {min(cells - seen)} unreachable from {start}")
 
     def present(di, dj):
-        target = keys + di * w + dj
-        return keys[np.minimum(np.searchsorted(keys, target), n - 1)] == target
+        return _find(keys, keys + di * w + dj) >= 0
 
     pairs = sum(np.count_nonzero(present(*o)) for o in neighbors if o > (0, 0))  # each once
     full = sum(np.count_nonzero(np.all([present(*o) for o in face], axis=0)) for face in faces)
@@ -117,7 +125,7 @@ class _CellSpec:
     cells: frozenset[tuple[int, int]]
 
     def __init__(self, cells):
-        cells = frozenset((int(i), int(j)) for i, j in cells)
+        cells = frozenset((index(i), index(j)) for i, j in cells)
         _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
         object.__setattr__(self, "cells", cells)
 
@@ -153,8 +161,8 @@ class BenzenoidSpec(_CellSpec):
 
 
 def _assemble(spec):
-    """Graph, direction tags, side links, origin and corners relative to it."""
-    origin, points, edges, links = _face_join(spec.faces())
+    """Graph, direction tags, opposite-side pairs, origin and corners relative to it."""
+    origin, points, edges, pairs = _face_join(spec.faces())
     x, y = points.T
     u, v = edges.T
     dx, dy = x[v] - x[u], y[v] - y[u]
@@ -164,53 +172,42 @@ def _assemble(spec):
     names = np.array([direction_tag((0, 0), step) for step in steps])
     tags = tuple(names[step_of].tolist())
     g = build_graph(len(points), edges)
-    return g, tags, links, origin, points
+    return g, tags, pairs, origin, points
 
 
 def _face_join(groups):
-    """Number the corners and sides of the faces and link opposite sides.
+    """Number the corners and sides of the faces and pair opposite sides.
 
-    groups holds (centers, corner offsets) per face size.  Returns the first
-    center as the origin, the distinct corners relative to it in sorted
-    coordinate order, the edges (face sides) as corner-index pairs in sorted
-    coordinate-pair order, and the links: side a of a k-gon links to the
-    opposite side a + k/2, and links[e] holds the edges edge e links to, one
-    per bounded face it lies on, -1 in an unused slot.  Relative points keep
-    any cell coordinates within int64.
+    groups holds (centers, corner offsets) per face size.  All face corners
+    go in one array, in face order; the corners are numbered by the inverse
+    of one sort of their coordinate keys, and the sides (each corner with
+    the next of its face) by the inverse of one sort of their corner-number
+    pairs.  Returns the first center as the origin, the distinct corners
+    relative to it in sorted coordinate order, the edges (face sides) as
+    corner-index pairs in sorted order, and the (s, 2) opposite-side pairs:
+    side c of each k-gon with side c + k/2.  Relative points keep any cell
+    coordinates within int64.
     """
     ox, oy = groups[0][0][0]
-    faces = [
-        np.asarray([(x - ox, y - oy) for x, y in centers], dtype=np.int64).reshape(-1, 1, 2)
-        + np.asarray(offsets, dtype=np.int64)
-        for centers, offsets in groups
-    ]
-    flat = np.concatenate([f.reshape(-1, 2) for f in faces])
+    corners, after, opposite, base = [], [], [], 0
+    for centers, offsets in groups:
+        at = base + np.arange(len(centers) * len(offsets)).reshape(len(centers), len(offsets))
+        rel = np.asarray([(x - ox, y - oy) for x, y in centers], dtype=np.int64).reshape(-1, 1, 2)
+        corners.append((rel + np.asarray(offsets, dtype=np.int64)).reshape(-1, 2))
+        after.append(np.roll(at, -1, axis=1).ravel())
+        half = len(offsets) // 2
+        opposite.append(np.stack([at[:, :half].ravel(), at[:, half:].ravel()], axis=1))
+        base += at.size
+    flat = np.concatenate(corners)
     (x0, y0), y1 = flat.min(axis=0), flat[:, 1].max()
     span = int(y1 - y0) + 1
-    keys = [(f[..., 0] - x0) * span + (f[..., 1] - y0) for f in faces]
-    point_keys = np.unique(np.concatenate([k.ravel() for k in keys]))
+    point_keys, corner = np.unique((flat[:, 0] - x0) * span + flat[:, 1] - y0, return_inverse=True)
     n = len(point_keys)
-    side_keys = []
-    for k in keys:
-        a = np.searchsorted(point_keys, k)
-        b = np.roll(a, -1, axis=1)
-        side_keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-    edge_keys = np.unique(np.concatenate([s.ravel() for s in side_keys]))
-    sides = [np.searchsorted(edge_keys, s) for s in side_keys]
-
-    near = np.concatenate([s[:, : s.shape[1] // 2].ravel() for s in sides])
-    far = np.concatenate([s[:, s.shape[1] // 2 :].ravel() for s in sides])
-    src, dst = np.concatenate([near, far]), np.concatenate([far, near])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    slot = np.zeros(len(src), dtype=np.intp)
-    slot[1:] = src[1:] == src[:-1]
-    links = np.full((len(edge_keys), 2), -1, dtype=np.intp)
-    links[src, slot] = dst
-
+    a, b = corner, corner[np.concatenate(after)]
+    edge_keys, side = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
     points = np.stack([point_keys // span + x0, point_keys % span + y0], axis=1)
     edges = np.stack([edge_keys // n, edge_keys % n], axis=1)
-    return (ox, oy), points, edges, links
+    return (ox, oy), points, edges, side[np.concatenate(opposite)]
 
 
 def _build(spec):
@@ -229,21 +226,17 @@ def build_benzenoid(spec: BenzenoidSpec):
     return _build(spec)
 
 
-def c4c8_cut_classes(links) -> tuple[np.ndarray, int]:
-    """Edge classes of a C4C8 or benzenoid system: its chains of side links.
+def c4c8_cut_classes(edge_count: int, pairs) -> tuple[np.ndarray, int]:
+    """Edge classes of a C4C8 or benzenoid system: its chains of opposite sides.
 
-    links comes from the face join of either kind of spec.  The classes are
-    the components of the graph on the edges whose links join them, found
+    pairs comes from the face join of either kind of spec.  The classes are
+    the components of the graph on the edges whose pairs join them, found
     by the components kernel; returns (class label per edge, class count).
     A class is labelled by its smallest edge, so the labels number the
     classes in ThetaPartition order.  No distances, O(number of edges) work
     per kernel round.
     """
-    src = np.repeat(np.arange(len(links)), 2)
-    dst = links.ravel()
-    once = dst > src  # each link is listed at both of its edges; unused slots hold -1
-    labels, count, _ = _components(len(links), np.stack([src[once], dst[once]], axis=1))
-    return labels, count
+    return _components(edge_count, pairs)[:2]
 
 
 def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
@@ -253,8 +246,8 @@ def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
     graph, found without a distance matrix.  build_c4c8 and build_benzenoid
     give the same graph and tags with vertex coordinates.
     """
-    g, tags, links, _, _ = _assemble(spec)
-    labels, count = c4c8_cut_classes(links)
+    g, tags, pairs, _, _ = _assemble(spec)
+    labels, count = c4c8_cut_classes(g.edge_count, pairs)
     order = np.argsort(labels, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
     classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))

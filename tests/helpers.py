@@ -344,27 +344,60 @@ def labels_by_removal(g: ci.Graph, removed) -> tuple[list[int], int]:
     return labels, len(comps)
 
 
-def chain_walk_classes(links) -> list[list[int]]:
-    """Edge classes of a cell system by walking its chains of side links.
+def chain_walk_classes(edge_count: int, pairs) -> list[list[int]]:
+    """Edge classes of a cell system by walking its chains of opposite sides.
 
-    Each chain runs between two boundary edges (edges with one link) and is
-    walked from its lower-numbered end; shares no code with the components
-    kernel that chem uses.
+    Each edge's partners are the edges it faces across a bounded face, one
+    per face it lies on.  Each chain runs between two boundary edges (edges
+    with one partner) and is walked from its lower-numbered end; shares no
+    code with the components kernel that chem uses.
     """
-    first, second = links.T.tolist()
+    partners = [[] for _ in range(edge_count)]
+    for a, b in pairs.tolist():
+        partners[a].append(b)
+        partners[b].append(a)
     far_ends = set()
     classes = []
-    for start, other in enumerate(second):
-        if other != -1 or start in far_ends:
+    for start, near in enumerate(partners):
+        if len(near) != 1 or start in far_ends:
             continue
-        chain = [start]
-        prev, cur = start, first[start]
-        while cur != -1:
-            chain.append(cur)
-            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
+        chain = [start, near[0]]
+        while len(partners[chain[-1]]) == 2:
+            chain.append(sum(partners[chain[-1]]) - chain[-2])
         far_ends.add(chain[-1])
         classes.append(chain)
     return classes
+
+
+def face_join_reference(groups):
+    """(origin, points, edges, opposite-side pairs) of a face join in plain Python.
+
+    groups holds (centers, corner offsets) per face size, as a spec's faces()
+    gives them.  Corners, relative to the first center, are numbered by
+    sorted coordinate tuples, and sides by sorted corner-index pairs; each
+    k-gon pairs its side c with side c + k/2.  Pairs come sorted, each as
+    (smaller edge, larger edge).
+    """
+    ox, oy = groups[0][0][0]
+    faces = [
+        [(x + dx - ox, y + dy - oy) for dx, dy in offsets]
+        for centers, offsets in groups
+        for x, y in centers
+    ]
+    points = sorted({p for face in faces for p in face})
+    corner = {p: i for i, p in enumerate(points)}
+    sides = [
+        [tuple(sorted((corner[p], corner[face[(c + 1) % len(face)]]))) for c, p in enumerate(face)]
+        for face in faces
+    ]
+    edges = sorted({s for face in sides for s in face})
+    edge = {s: e for e, s in enumerate(edges)}
+    pairs = sorted(
+        tuple(sorted((edge[face[c]], edge[face[c + len(face) // 2]])))
+        for face in sides
+        for c in range(len(face) // 2)
+    )
+    return (ox, oy), points, edges, pairs
 
 
 def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices):

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import cutindex as ci
@@ -12,6 +13,7 @@ from helpers import (
     all_c4c8_cellsets,
     cell_set_error,
     chain_walk_classes,
+    face_join_reference,
     random_benzenoid,
     random_c4c8,
     reference_quotient_trees,
@@ -201,10 +203,37 @@ def test_kernel_classes_equal_the_chain_walk():
     specs += [ci.C4C8Spec(block), ci.BenzenoidSpec(block)]
     for spec in specs:
         g, tags, theta = c4c8_theta_partition(spec)
-        links = _assemble(spec)[2]
-        assert theta == ci.ThetaPartition.from_classes(chain_walk_classes(links), g.edge_count)
+        walk = chain_walk_classes(g.edge_count, _assemble(spec)[2])
+        assert theta == ci.ThetaPartition.from_classes(walk, g.edge_count)
         build = ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid
         assert build(spec)[:2] == (g, tags)
+
+
+def test_face_join_equals_a_plain_python_numbering():
+    rng = random.Random(71)
+    block = [(i, j) for i in range(30) for j in range(30)]
+    far = [(i + 2**70, j - 2**70) for i, j in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]]
+    specs = [ci.C4C8Spec(c) for c in all_c4c8_cellsets(4)]
+    specs += [ci.BenzenoidSpec(c) for c in all_benzenoid_cellsets(4)]
+    specs += [random_c4c8(rng, 12) for _ in range(20)]
+    specs += [random_benzenoid(rng, 12) for _ in range(20)]
+    specs += [ci.C4C8Spec(block), ci.BenzenoidSpec(block), ci.C4C8Spec(far), ci.BenzenoidSpec(far)]
+    for spec in specs:
+        origin, points, edges, pairs = face_join_reference(spec.faces())
+        g, _, got_pairs, got_origin, got_points = _assemble(spec)
+        assert (got_origin, got_points.tolist()) == (origin, [list(p) for p in points])
+        assert g.edges == tuple(edges)
+        assert sorted(tuple(sorted(p)) for p in got_pairs.tolist()) == pairs
+
+
+@pytest.mark.parametrize("spec_type", [ci.C4C8Spec, ci.BenzenoidSpec])
+def test_cell_coordinates_must_be_integers(spec_type):
+    for bad in ([(0.5, 0), (1.9, 0)], [("0", "0"), ("1", "0")], [(np.float64(0), 0)]):
+        with pytest.raises(TypeError):
+            spec_type(bad)
+    spec = spec_type([(np.int64(0), np.int32(0)), (np.int32(1), np.int64(0))])
+    assert spec == spec_type([(0, 0), (1, 0)])
+    assert all(type(k) is int for cell in spec.cells for k in cell)
 
 
 def test_all_cellset_enumeration_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -506,6 +507,35 @@ def test_generate_deterministic_bytes(tmp_path):
     assert main(["generate", cells, out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert Path(out1 + ".coords").read_bytes() == Path(out2 + ".coords").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cells, graph_sha, coords_sha, indices",
+    [
+        (
+            "t c4c8\nc 0 0\nc 1 0\nc 0 1\nc 1 1\n",
+            "68069fbc430f26ae91825ba87382d953e4ceb7f602f0e7dd99009f85a1791770",
+            "5962940ebf8ca34e83af17f4f91524cab1d50315e0aef8a89200af3eb0824ba5",
+            "wiener=1084\nszeged=3220\n",
+        ),
+        (
+            "t benzenoid\nc 0 0\nc 1 0\nc 0 1\n",
+            "50758cc84ddfff4d94bdfce3c674139039041b93c30e4aa47745f9473e240eef",
+            "f6269531875ab53a7eede50b419bcb4edd9ee0ae52dc62e13601a3b225ad7ccb",
+            "wiener=210\nszeged=540\n",
+        ),
+    ],
+    ids=["c4c8-2x2", "benzenoid-3"],
+)
+def test_generate_pinned_bytes(tmp_path, capsys, cells, graph_sha, coords_sha, indices):
+    # Vertex and edge order fix these bytes, the class numbers and --verbose rows.
+    path, out = _write(tmp_path, "s.cells", cells), str(tmp_path / "s.graph")
+    assert main(["generate", path, out]) == 0
+    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == graph_sha
+    assert hashlib.sha256(Path(out + ".coords").read_bytes()).hexdigest() == coords_sha
+    capsys.readouterr()
+    assert main(["index", path, "--method", "partition", "--partition", "direction"]) == 0
+    assert capsys.readouterr().out == indices
 
 
 def test_generate_disconnected_exit_2(tmp_path, capsys):

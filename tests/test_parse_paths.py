@@ -4,8 +4,7 @@ Graph files of every generated family, as format_graph_file writes them,
 and seeded edits of them (line ends, whitespace, comments, number forms,
 weight and edge faults, misplaced records) must parse to the same graph
 and weights, or fail with the same ParseError text and line, whichever
-path reads them; unedited files must take the array path.  The lazy line
-cutter behind sniff_kind must cut lines as str.splitlines does.
+path reads them; unedited files must take the array path.
 """
 
 import random
