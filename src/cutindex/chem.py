@@ -13,9 +13,10 @@ validated when it is made, by the components kernel on the cell grid.
 Benzenoid systems are modeled the same way on the hexagonal net, with cell
 (a,b) centered at (2a+b, 3b) in a stretched integer embedding.
 
-Both kinds are assembled by one face join.  Each spec lists its bounded
-faces by center and corner offsets: the octagons plus every square all four
-of whose octagons exist, or the hexagons.  The join numbers the corners and
+Both kinds are assembled by one face join.  Each spec keeps the cell grid
+its validation built and reads its bounded faces off it, by center and
+corner offsets: the octagons plus a square at each full 2 x 2 block that the
+Euler count found, or the hexagons.  The join numbers the corners and
 the sides by the inverses of two sorts.  An elementary cut crosses a bounded
 face by entering through one side and leaving through the opposite one
 (octagon a~a+4, square a~a+2, hexagon a~a+3), so the join also pairs
@@ -77,7 +78,7 @@ def _cell_components(keys, width: int, offsets) -> np.ndarray:
     return _components(len(keys), ends)[0]
 
 
-def _check_cells(cells, neighbors, complement, faces, kind: str) -> None:
+def _check_cells(cells, neighbors, complement, faces, kind: str):
     """Require a nonempty, connected cell set without enclosed holes.
 
     Keys run in (i, j) order, and the kernel gives the first key label 0.
@@ -88,7 +89,9 @@ def _check_cells(cells, neighbors, complement, faces, kind: str) -> None:
     is 1; that takes O(n log n) work whatever the set's extent.  Only a set
     with a hole pays for naming it: a hole is an empty cell of the bordered
     bounding box off the border's component; keys wrapping past a row end
-    join border cells only.
+    join border cells only.  Returns the cell grid: the first cell, every
+    cell relative to it as an (n, 2) int64 array in key order, and each
+    face's mask over them (for C4C8 the full 2 x 2 blocks, one per square).
     """
     if not cells:
         raise GraphError(f"{kind} system needs at least one cell")
@@ -104,10 +107,10 @@ def _check_cells(cells, neighbors, complement, faces, kind: str) -> None:
         return _find(keys, keys + di * w + dj) >= 0
 
     pairs = sum(np.count_nonzero(present(*o)) for o in neighbors if o > (0, 0))  # each once
-    full = sum(np.count_nonzero(np.all([present(*o) for o in face], axis=0)) for face in faces)
-    if n - pairs + full == 1:
-        return
+    masks = [np.all([present(*o) for o in face], axis=0) for face in faces]
     rows, cols = np.divmod(keys, w)
+    if n - pairs + sum(np.count_nonzero(m) for m in masks) == 1:
+        return start, np.stack([rows, cols - n], axis=1), masks
     lo, width = int(cols.min()) - 1, int(cols.max() - cols.min()) + 3
     box = np.arange((int(rows[-1]) + 3) * width)
     free = np.setdiff1d(box, (rows + 1) * width + cols - lo, assume_unique=True)
@@ -126,8 +129,9 @@ class _CellSpec:
 
     def __init__(self, cells):
         cells = frozenset((index(i), index(j)) for i, j in cells)
-        _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
+        grid = _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_grid", grid)  # no field: ==, hash and repr go by cells
 
 
 class C4C8Spec(_CellSpec):
@@ -137,16 +141,9 @@ class C4C8Spec(_CellSpec):
     _FACES = (((0, 1), (1, 0), (1, 1)),)  # 2 x 2 blocks
 
     def faces(self):
-        """(centers, corner offsets) of the octagons and of the squares they surround."""
-        cells = self.cells
-        squares = [
-            (i, j) for i, j in cells
-            if (i + 1, j) in cells and (i, j + 1) in cells and (i + 1, j + 1) in cells
-        ]
-        return [
-            ([(4 * i, 4 * j) for i, j in cells], OCTAGON_OFFSETS),
-            ([(4 * i + 2, 4 * j + 2) for i, j in squares], SQUARE_OFFSETS),
-        ]
+        """Origin (first cell's center); octagon and 2 x 2 block square centers off it."""
+        (i, j), rel, (square,) = self._grid
+        return (4 * i, 4 * j), [(4 * rel, OCTAGON_OFFSETS), (4 * rel[square] + 2, SQUARE_OFFSETS)]
 
 
 class BenzenoidSpec(_CellSpec):
@@ -156,13 +153,15 @@ class BenzenoidSpec(_CellSpec):
     _FACES = (((1, 0), (0, 1)), ((1, 0), (1, -1)))  # triangles of mutual neighbours
 
     def faces(self):
-        """(centers, corner offsets) of the hexagons."""
-        return [([(2 * a + b, 3 * b) for a, b in self.cells], HEXAGON_OFFSETS)]
+        """Origin (first cell's center) and hexagon centers off it, with corner offsets."""
+        (a, b), rel, _ = self._grid
+        return (2 * a + b, 3 * b), [(rel @ ((2, 0), (1, 3)), HEXAGON_OFFSETS)]  # (2a + b, 3b)
 
 
 def _assemble(spec):
     """Graph, direction tags, opposite-side pairs, origin and corners relative to it."""
-    origin, points, edges, pairs = _face_join(spec.faces())
+    origin, groups = spec.faces()
+    points, edges, pairs = _face_join(groups)
     x, y = points.T
     u, v = edges.T
     dx, dy = x[v] - x[u], y[v] - y[u]
@@ -178,22 +177,20 @@ def _assemble(spec):
 def _face_join(groups):
     """Number the corners and sides of the faces and pair opposite sides.
 
-    groups holds (centers, corner offsets) per face size.  All face corners
-    go in one array, in face order; the corners are numbered by the inverse
-    of one sort of their coordinate keys, and the sides (each corner with
-    the next of its face) by the inverse of one sort of their corner-number
-    pairs.  Returns the first center as the origin, the distinct corners
-    relative to it in sorted coordinate order, the edges (face sides) as
+    groups holds (centers, corner offsets) per face size, the centers as
+    an int64 array relative to the spec's origin, so any cell coordinates
+    stay within int64.  All face corners go in one array, in face order;
+    the corners are numbered by the inverse of one sort of their coordinate
+    keys, and the sides (each corner with the next of its face) by the
+    inverse of one sort of their corner-number pairs.  Returns the distinct
+    corners in sorted coordinate order, the edges (face sides) as
     corner-index pairs in sorted order, and the (s, 2) opposite-side pairs:
-    side c of each k-gon with side c + k/2.  Relative points keep any cell
-    coordinates within int64.
+    side c of each k-gon with side c + k/2.
     """
-    ox, oy = groups[0][0][0]
     corners, after, opposite, base = [], [], [], 0
     for centers, offsets in groups:
         at = base + np.arange(len(centers) * len(offsets)).reshape(len(centers), len(offsets))
-        rel = np.asarray([(x - ox, y - oy) for x, y in centers], dtype=np.int64).reshape(-1, 1, 2)
-        corners.append((rel + np.asarray(offsets, dtype=np.int64)).reshape(-1, 2))
+        corners.append((centers[:, None] + offsets).reshape(-1, 2))
         after.append(np.roll(at, -1, axis=1).ravel())
         half = len(offsets) // 2
         opposite.append(np.stack([at[:, :half].ravel(), at[:, half:].ravel()], axis=1))
@@ -207,7 +204,7 @@ def _face_join(groups):
     edge_keys, side = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
     points = np.stack([point_keys // span + x0, point_keys % span + y0], axis=1)
     edges = np.stack([edge_keys // n, edge_keys % n], axis=1)
-    return (ox, oy), points, edges, side[np.concatenate(opposite)]
+    return points, edges, side[np.concatenate(opposite)]
 
 
 def _build(spec):
@@ -247,11 +244,7 @@ def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
     give the same graph and tags with vertex coordinates.
     """
     g, tags, pairs, _, _ = _assemble(spec)
-    labels, count = c4c8_cut_classes(g.edge_count, pairs)
-    order = np.argsort(labels, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
-    classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
-    return g, tags, ThetaPartition(classes, tuple(labels.tolist()))
+    return g, tags, ThetaPartition._from_labels(*c4c8_cut_classes(g.edge_count, pairs))
 
 
 def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartition:

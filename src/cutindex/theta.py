@@ -78,6 +78,14 @@ class ThetaPartition:
             raise GraphError(f"edge {missing[0]} not covered by any class")
         return ThetaPartition(tuple(normalized), tuple(class_of))
 
+    @staticmethod
+    def _from_labels(class_of: np.ndarray, count: int) -> "ThetaPartition":
+        """The partition of edges labelled 0..count-1 in order of their smallest edge."""
+        order = np.argsort(class_of, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(class_of, minlength=count)).tolist()
+        classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
+        return ThetaPartition(classes, tuple(class_of.tolist()))
+
 
 def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
     """Transitive-closure classes, grown one relation row at a time.
@@ -96,21 +104,20 @@ def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
     m = g.edge_count
     u, v = g.ends[:, 0], g.ends[:, 1]
     class_of = np.full(m, -1, dtype=np.intp)
-    classes: list[list[int]] = []
+    count = 0
     for start in range(m):
         if class_of[start] != -1:
             continue
-        j = len(classes)
-        class_of[start] = j
+        class_of[start] = count
         members = [start]
         for a in members:  # members grows while it is walked
             du, dv = d[u[a]], d[v[a]]
             row = du[u] + dv[v] != du[v] + dv[u]
             joined = np.flatnonzero(row & (class_of == -1))
-            class_of[joined] = j
+            class_of[joined] = count
             members.extend(joined.tolist())
-        classes.append(members)
-    return ThetaPartition.from_classes(classes, m)
+        count += 1
+    return ThetaPartition._from_labels(class_of, count)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from collections import deque
 from pathlib import Path
 
 import cutindex as ci
+from cutindex.chem import HEXAGON_OFFSETS, OCTAGON_OFFSETS, SQUARE_OFFSETS
 
 
 def run_under_1gib(*args):
@@ -369,21 +370,28 @@ def chain_walk_classes(edge_count: int, pairs) -> list[list[int]]:
     return classes
 
 
-def face_join_reference(groups):
-    """(origin, points, edges, opposite-side pairs) of a face join in plain Python.
+def face_join_reference(spec):
+    """(points, edges, opposite-side pairs) of a spec's face join in plain Python.
 
-    groups holds (centers, corner offsets) per face size, as a spec's faces()
-    gives them.  Corners, relative to the first center, are numbered by
-    sorted coordinate tuples, and sides by sorted corner-index pairs; each
-    k-gon pairs its side c with side c + k/2.  Pairs come sorted, each as
-    (smaller edge, larger edge).
+    The faces come from spec.cells alone: C4C8 octagons centered at
+    (4i, 4j), plus a square at (4i + 2, 4j + 2) wherever (i+1, j), (i, j+1)
+    and (i+1, j+1) are cells too; or benzenoid hexagons centered at
+    (2a + b, 3b).  Corners are numbered by sorted absolute coordinate
+    tuples, and sides by sorted corner-index pairs; each k-gon pairs its
+    side c with side c + k/2.  Pairs come sorted, each as (smaller edge,
+    larger edge).
     """
-    ox, oy = groups[0][0][0]
-    faces = [
-        [(x + dx - ox, y + dy - oy) for dx, dy in offsets]
-        for centers, offsets in groups
-        for x, y in centers
-    ]
+    cells = spec.cells
+    if isinstance(spec, ci.BenzenoidSpec):
+        centers = [((2 * a + b, 3 * b), HEXAGON_OFFSETS) for a, b in cells]
+    else:
+        centers = [((4 * i, 4 * j), OCTAGON_OFFSETS) for i, j in cells]
+        centers += [
+            ((4 * i + 2, 4 * j + 2), SQUARE_OFFSETS)
+            for i, j in cells
+            if {(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells
+        ]
+    faces = [[(x + dx, y + dy) for dx, dy in offsets] for (x, y), offsets in centers]
     points = sorted({p for face in faces for p in face})
     corner = {p: i for i, p in enumerate(points)}
     sides = [
@@ -397,7 +405,7 @@ def face_join_reference(groups):
         for face in sides
         for c in range(len(face) // 2)
     )
-    return (ox, oy), points, edges, pairs
+    return points, edges, pairs
 
 
 def folded_quotient(g: ci.Graph, theta: ci.ThetaPartition, class_indices):

@@ -219,9 +219,9 @@ def test_face_join_equals_a_plain_python_numbering():
     specs += [random_benzenoid(rng, 12) for _ in range(20)]
     specs += [ci.C4C8Spec(block), ci.BenzenoidSpec(block), ci.C4C8Spec(far), ci.BenzenoidSpec(far)]
     for spec in specs:
-        origin, points, edges, pairs = face_join_reference(spec.faces())
-        g, _, got_pairs, got_origin, got_points = _assemble(spec)
-        assert (got_origin, got_points.tolist()) == (origin, [list(p) for p in points])
+        points, edges, pairs = face_join_reference(spec)
+        g, _, got_pairs, (ox, oy), got_points = _assemble(spec)
+        assert [(x + ox, y + oy) for x, y in got_points.tolist()] == points
         assert g.edges == tuple(edges)
         assert sorted(tuple(sorted(p)) for p in got_pairs.tolist()) == pairs
 

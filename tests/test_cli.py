@@ -524,8 +524,20 @@ def test_generate_deterministic_bytes(tmp_path):
             "f6269531875ab53a7eede50b419bcb4edd9ee0ae52dc62e13601a3b225ad7ccb",
             "wiener=210\nszeged=540\n",
         ),
+        (  # off the origin, listed out of (i, j) order
+            "t c4c8\nc 3 -2\nc 2 -2\nc 2 -1\nc 3 -1\nc 4 -1\n",
+            "f562d589d05b83e01846ec619356c99c47d64a5ac6f1ec08b2e3cfabb2067eeb",
+            "571a81b41ef7424d57cfd8dc8997b9ecdf5afcc57218b8ba04a5f4b194bd8fad",
+            "wiener=1999\nszeged=5805\n",
+        ),
+        (
+            "t benzenoid\nc 0 2\nc -1 2\nc -1 3\nc 1 1\n",
+            "c42ad7df9bf65f1d9f0a9e5ddf504056601c2dd4ac089ea2f9b846f660f3023b",
+            "76dfdbac72b78cb7fcf6b7c3f2adbbcb285a49915d8487adbc342da240c15966",
+            "wiener=440\nszeged=1152\n",
+        ),
     ],
-    ids=["c4c8-2x2", "benzenoid-3"],
+    ids=["c4c8-2x2", "benzenoid-3", "c4c8-shifted", "benzenoid-shifted"],
 )
 def test_generate_pinned_bytes(tmp_path, capsys, cells, graph_sha, coords_sha, indices):
     # Vertex and edge order fix these bytes, the class numbers and --verbose rows.
