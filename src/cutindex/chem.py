@@ -27,8 +27,8 @@ but the two sorts.
 Every edge gets a direction tag from its displacement: H, V, D+ or D- for
 C4C8 (three of these for benzenoids).  Grouping the edge classes by tag gives
 the direction partition, whose quotients are trees for both kinds (for
-benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), so
-c4c8_report reads every class's row off the linear tree pass, in O(n).
+benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), and
+c4c8_report reads it with partition_rows' reader: one tree pass each, O(n).
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from operator import index
 
 import numpy as np
 
-from .core import Graph, GraphError, _components, bfs_distances, build_graph
-from .indices import CutRow, VertexEdgeWeightedGraph, indices_from_rows
-from .quotient import CoarserPartition, quotient_by_edge_classes, validate_coarser
+from .core import Graph, GraphError, _components, build_graph
+from .indices import CutRow, _quotient_cuts, indices_from_rows, partition_rows
+from .quotient import CoarserPartition, validate_coarser
 from .theta import ThetaPartition
-from .treedp import tree_cut_rows
 
 OCTAGON_OFFSETS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
 SQUARE_OFFSETS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -271,36 +270,21 @@ def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartiti
 def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
     """Indices of a C4C8 or benzenoid system plus its per-class cut rows, all in O(n).
 
-    Returns (wiener, szeged, rows): rows holds one CutRow per edge class, by
-    class index, each the tree pass's row of the quotient-tree edge standing
-    for the class.  C4C8 rows keep the pass's side without vertex 0 first;
-    benzenoid rows put the class anchor's side first, as partition_rows does.
-    A quotient that is no tree, or not one edge per class, raises GraphError.
+    Returns (wiener, szeged, rows), one CutRow per edge class by class index,
+    read off the direction partition by partition_rows' reader: the tree pass
+    on each quotient tree, components on a quotient that is no tree.
+    Benzenoid rows put the class anchor's side first, as partition_rows does;
+    C4C8 rows keep the pass's side without quotient vertex 0 first.
     """
     g, tags, theta = c4c8_theta_partition(spec)
     cp = direction_partition(g, tags, theta)
-    anchor_first = isinstance(spec, BenzenoidSpec)
-    rows = []
-    for group in cp.groups:
-        wq = quotient_by_edge_classes(g, theta, group)
-        q = wq.quotient
-        if len(wq.edge_class) != len(group):
-            stand = list(wq.edge_class)
-            raise GraphError(f"quotient edges stand for classes {stand}; expected one per class")
-        depth = bfs_distances(q, 0) if anchor_first else None
-        tree = VertexEdgeWeightedGraph(q, wq.vertex_weight, wq.edge_weight)
-        for f, size, n1, n2 in tree_cut_rows(tree):
-            j = wq.edge_class[f]
-            # n2 is the side of the end of edge f nearer vertex 0
-            if anchor_first and wq.class_anchors[j] == min(q.edges[f], key=depth.__getitem__):
-                n1, n2 = n2, n1
-            rows.append(CutRow(j, size, n1, n2))
-    rows.sort()
-    wiener, szeged = indices_from_rows(rows)
-    return wiener, szeged, rows
+    if isinstance(spec, BenzenoidSpec):
+        rows = partition_rows(g, theta, cp)
+    else:
+        rows = sorted(CutRow(j, s, n1, n2) for j, s, n1, n2, _ in _quotient_cuts(g, theta, cp))
+    return (*indices_from_rows(rows), rows)
 
 
 def c4c8_indices(spec: C4C8Spec | BenzenoidSpec) -> tuple[int, int]:
     """Wiener and Szeged index of a C4C8 or benzenoid system in O(n) time."""
-    wiener, szeged, _ = c4c8_report(spec)
-    return wiener, szeged
+    return c4c8_report(spec)[:2]

@@ -290,10 +290,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        _fail(str(exc))
-        return 2
-    except _UsageError as exc:
+    except (ParseError, _UsageError, OSError) as exc:
         _fail(str(exc))
         return 2
     except IndexOverflowError as exc:
@@ -302,9 +299,6 @@ def main(argv=None) -> int:
     except GraphError as exc:
         _fail(str(exc))
         return 3
-    except OSError as exc:
-        _fail(str(exc))
-        return 2
 
 
 def entry() -> None:

@@ -11,8 +11,8 @@ place they are summed:
   * the partition route, the same rows read off the cuts of the weighted
     quotients of a partition coarser than the Theta partition
     (partition_rows);
-  * the tree route, one row per edge of a weighted tree (treedp), which the
-    cell-system pipeline in chem maps back to the classes of its quotient trees.
+  * the tree route, one row per edge of a weighted tree (treedp), which
+    partition_rows runs on tree quotients, as the cell systems of chem give.
 
 The brute evaluators work straight from the definitions (distance sums,
 per-edge strict-side sums) and share nothing with the routes; they are the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
-from .core import component_labels, distance_matrix
+from .core import UNREACHABLE, bfs_distances, component_labels, distance_matrix
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
 
@@ -185,39 +185,61 @@ def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
     return rows
 
 
+def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
+    """Yield (class, size, side without quotient vertex 0, rest, anchor on that side).
+
+    One tree pass reads a tree quotient: a class of k edges leaves k + 1 parts
+    there, and its anchor is on the side without vertex 0 iff it is the end of
+    its edge farther from 0.  Other quotients take a components call per class.
+    """
+    from .treedp import tree_cut_rows  # at call time: treedp imports this module
+
+    for group in cp.groups:
+        wq = quotient_by_edge_classes(g, theta, group)
+        q, weights, anchors = wq.quotient, wq.vertex_weight, wq.class_anchors
+        edges_of: dict[int, list[int]] = {}
+        for f, j in enumerate(wq.edge_class):
+            edges_of.setdefault(j, []).append(f)
+        # n_q - 1 edges make a tree unless q, and so g, is disconnected
+        depth = bfs_distances(q, 0) if q.edge_count == q.vertex_count - 1 else [UNREACHABLE]
+        tree = UNREACHABLE not in depth
+        for j, cut in edges_of.items():
+            comp, count = (None, len(cut) + 1) if tree else component_labels(q, cut)
+            if count != 2:
+                raise GraphError(
+                    f"class {j} splits its quotient into {count} parts, expected 2;"
+                    " not a cut class"
+                )
+            if not tree:
+                comp = comp.tolist()
+                n1 = sum(w for w, c in zip(weights, comp) if c)
+                size = sum(wq.edge_weight[f] for f in cut)
+                yield j, size, n1, sum(weights) - n1, comp[anchors[j]] == 1
+        if tree:
+            weighted = VertexEdgeWeightedGraph(q, weights, wq.edge_weight)
+            for f, size, n1, n2 in tree_cut_rows(weighted):
+                j = wq.edge_class[f]
+                yield j, size, n1, n2, anchors[j] != min(q.edges[f], key=depth.__getitem__)
+
+
 def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> list[CutRow]:
     """The partition route's rows, read off one weighted quotient per group.
 
     theta must be the Theta partition of g: a recognized partial cube's, or
     the geometric classes of a cell system.  That is a precondition, not a
     check; only the two-part cuts below are checked, and classes that pass
-    them without being the Theta partition give rows of wrong indices.
-    In the quotient by a group, the
-    quotient edges of one class j are a cut with exactly two components,
-    whose vertex weights are the sides of class j in g; the side holding
-    the class anchor comes first, so the rows equal the cut route's.  A
+    them without being the Theta partition give rows of wrong indices.  In
+    the quotient by a group, the quotient edges of one class j are a cut
+    with exactly two components, whose vertex weights are the sides of
+    class j in g; the side holding the class anchor comes first, so the rows
+    equal the cut route's.  Tree quotients take the linear tree pass.  A
     quotient edge standing for two classes, or a cut leaving other than two
     components, raises GraphError.  Sorted by class index.
     """
-    rows = []
-    for group in cp.groups:
-        wq = quotient_by_edge_classes(g, theta, group)
-        edges_of: dict[int, list[int]] = {}
-        for f, j in enumerate(wq.edge_class):
-            edges_of.setdefault(j, []).append(f)
-        total = sum(wq.vertex_weight)
-        for j, cut in edges_of.items():
-            comp, count = component_labels(wq.quotient, cut)
-            if count != 2:
-                raise GraphError(
-                    f"class {j} splits its quotient into {count} parts, expected 2;"
-                    " not a cut class"
-                )
-            side = int(comp[wq.class_anchors[j]])
-            n1 = sum(w for w, c in zip(wq.vertex_weight, comp.tolist()) if c == side)
-            rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cut), n1, total - n1))
-    rows.sort()
-    return rows
+    return sorted(
+        CutRow(j, size, *((n1, n2) if anchored else (n2, n1)))
+        for j, size, n1, n2, anchored in _quotient_cuts(g, theta, cp)
+    )
 
 
 def wiener_cut(pc: PartialCube) -> int:

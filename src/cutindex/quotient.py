@@ -171,13 +171,12 @@ def quotient_theta_classes(wq: WeightedQuotient) -> list[CutRow]:
     class's edge weight) and its weighted sides, the side holding the class
     anchor first; rows are sorted by class index.
     """
-    result = recognize_partial_cube(wq.quotient)
-    if not isinstance(result, PartialCube):
+    qpc = recognize_partial_cube(wq.quotient)
+    if not isinstance(qpc, PartialCube):
         raise GraphError(
-            f"quotient failed partial-cube recognition ({result.kind});"
+            f"quotient failed partial-cube recognition ({qpc.kind});"
             " not built from cut classes of a partial cube"
         )
-    qpc = result
     expected = len(wq.class_anchors)
     if qpc.theta.class_count != expected:
         raise GraphError(

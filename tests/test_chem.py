@@ -290,18 +290,22 @@ def test_benzenoid_direction_partition_reproduces_brute():
 
 
 def test_c4c8_report_rows_match_cut_summaries():
-    spec = ci.C4C8Spec([(0, 0), (1, 0), (1, 1)])
-    g, _, _ = ci.build_c4c8(spec)
-    wiener, szeged, rows = ci.c4c8_report(spec)
-    pc = ci.recognize_partial_cube(g)
-    # same multiset of (size, {n1,n2}) rows as the recognition-based cut table
-    geo = sorted((size, tuple(sorted((a, b)))) for _, size, a, b in rows)
-    ref = sorted(
-        (s.size, tuple(sorted((s.n1, s.n2)))) for s in ci.cut_class_summaries(pc)
-    )
-    assert geo == ref
-    assert wiener == sum(a * b for _, _, a, b in rows)
-    assert szeged == sum(size * a * b for _, size, a, b in rows)
+    # C4C8 rows keep the tree pass's side without vertex 0 first.  The oracle
+    # takes that orientation from recognition: bit j of vertex 0's label is 0
+    # where vertex 0 lies on the anchor's side, whose count the cut route puts first.
+    rng = random.Random(67)
+    specs = [ci.C4C8Spec([(0, 0), (1, 0), (1, 1)])] + [random_c4c8(rng, 9) for _ in range(4)]
+    for spec in specs:
+        g, _, _ = ci.build_c4c8(spec)
+        wiener, szeged, rows = ci.c4c8_report(spec)
+        pc = ci.recognize_partial_cube(g)
+        ref = [
+            row._replace(n1=row.n2, n2=row.n1) if not pc.labels[0] >> j & 1 else row
+            for j, row in enumerate(ci.cut_class_summaries(pc))
+        ]
+        assert rows == ref
+        assert wiener == sum(a * b for _, _, a, b in rows)
+        assert szeged == sum(size * a * b for _, size, a, b in rows)
 
 
 @pytest.mark.parametrize("max_cells", [1, 5, 15, 40])
@@ -336,8 +340,9 @@ def test_report_rejects_classes_not_one_per_quotient_edge(monkeypatch, tmp_path,
         classes[k] += classes.pop(j)
     bad = ci.ThetaPartition.from_classes(classes, g.edge_count)
     monkeypatch.setattr("cutindex.chem.c4c8_theta_partition", lambda s: (g, tags, bad))
-    # The fold refuses the split class; the report refuses the merged one.
-    expected = "expected exactly one" if fault == "split" else "expected one per class"
+    # The fold refuses the split class; the reader refuses the merged one,
+    # whose two edges of the tree quotient leave three parts.
+    expected = "expected exactly one" if fault == "split" else "splits its quotient into 3 parts"
     with pytest.raises(ci.GraphError, match=expected):
         ci.c4c8_report(spec)
     path = tmp_path / "s.cells"

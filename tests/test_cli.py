@@ -383,7 +383,7 @@ def test_index_direction_builds_no_distance_matrix_of_the_system(
     tmp_path, capsys, monkeypatch, text
 ):
     # Both kinds take the tree pass alone: no distance matrix of any size,
-    # and no partition_rows.
+    # and no class cut of a direction quotient labelled by components.
     argv = ["index", _write(tmp_path, "s.cells", text), "--method", "partition",
             "--partition", "direction", "--verbose"]
     assert main(argv) == 0
@@ -394,8 +394,7 @@ def test_index_direction_builds_no_distance_matrix_of_the_system(
 
     monkeypatch.setattr("cutindex.theta.distance_matrix", guarded)
     monkeypatch.setattr("cutindex.indices.distance_matrix", guarded)
-    monkeypatch.setattr("cutindex.cli.partition_rows", guarded)
-    monkeypatch.setattr("cutindex.indices.partition_rows", guarded)
+    monkeypatch.setattr("cutindex.indices.component_labels", guarded)
     assert main(argv) == 0
     assert capsys.readouterr() == expected
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -385,16 +386,54 @@ def _rows_via_quotient_theta(g, theta, cp):
     return sorted(rows)
 
 
-def test_partition_rows_equal_quotient_theta_classes():
+def _rooted_at(rng, g, v):
+    """g with its vertices shuffled, v becoming vertex 0."""
+    rest = [x for x in range(g.vertex_count) if x != v]
+    rng.shuffle(rest)
+    new = {x: i for i, x in enumerate([v] + rest)}
+    return ci.build_graph(g.vertex_count, [(new[a], new[b]) for a, b in g.edges])
+
+
+def test_partition_rows_equal_quotient_theta_classes(monkeypatch):
+    # Tree quotients take the tree pass, others one components call per class.
+    ran = Counter()
+
+    def spy(name, fn):
+        def counted(*args):
+            ran[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(name, counted)
+
+    spy("cutindex.treedp.tree_cut_rows", ci.tree_cut_rows)
+    spy("cutindex.indices.component_labels", cutindex.indices.component_labels)
+
+    # Vertex 0 at a leaf, in the middle of a path and at a tree's hub: a class
+    # anchor (its edge's lower end) is then the end of its edge nearer vertex 0
+    # on some edges and the farther end on others.
+    tree_rng = random.Random(37)
+    trees = [path(n) for n in (2, 3, 9)]
+    trees += [_rooted_at(tree_rng, path(n), n // 2) for n in (3, 8, 9)]
+    for n in (7, 25):
+        t = random_tree(tree_rng, n)
+        degree = Counter(v for e in t.edges for v in e)
+        for v in (max(degree, key=degree.get), min(degree, key=degree.get), 0):
+            trees.append(_rooted_at(tree_rng, t, v))
+    anchor_farther = set()
+    for t in trees:
+        depth = ci.bfs_distances(t, 0)
+        anchor_farther |= {depth[min(e)] > depth[max(e)] for e in t.edges}
+    assert anchor_farther == {False, True}
+
     rng = random.Random(31)
     graphs = [hypercube(k) for k in range(1, 6)] + [cycle(2 * k) for k in range(2, 9)]
     graphs += [random_tree(rng, rng.randint(2, 40)) for _ in range(8)]
     graphs += [ci.build_c4c8(random_c4c8(rng, 8))[0] for _ in range(4)]
     graphs += [ci.build_benzenoid(random_benzenoid(rng, 8))[0] for _ in range(4)]
-    for g in graphs:
+    for g, r in [(g, rng) for g in graphs] + [(t, tree_rng) for t in trees]:
         pc = ci.recognize_partial_cube(g)
         partitions = [ci.finest_partition(pc.theta), ci.coarsest_partition(pc.theta)]
-        partitions += [random_coarser(rng, pc.theta) for _ in range(4)]
+        partitions += [random_coarser(r, pc.theta) for _ in range(4)]
         for cp in partitions:
             rows = ci.partition_rows(g, pc.theta, cp)
             assert rows == _rows_via_quotient_theta(g, pc.theta, cp)
@@ -405,6 +444,7 @@ def test_partition_rows_equal_quotient_theta_classes():
         g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
         assert ci.partition_rows(g, theta, cp) == _rows_via_quotient_theta(g, theta, cp)
+    assert ran["cutindex.treedp.tree_cut_rows"] and ran["cutindex.indices.component_labels"]
 
 
 @pytest.mark.parametrize(
@@ -441,3 +481,10 @@ def test_partition_rows_trusts_theta_to_be_the_theta_partition():
     assert rows == [ci.CutRow(0, 3, 3, 2), ci.CutRow(1, 3, 2, 3)]
     assert ci.indices_from_rows(rows)[0] == 12
     assert ci.wiener_brute(g) == 14
+    # C4 plus an isolated vertex, every edge its own class: the quotient has
+    # n_q - 1 edges yet is no tree, so components label each class cut, and
+    # each leaves two parts: rows for a graph that has no Wiener index.
+    g = ci.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    theta = ci.ThetaPartition.from_classes([[k] for k in range(4)], g.edge_count)
+    rows = ci.partition_rows(g, theta, ci.coarsest_partition(theta))
+    assert rows == [ci.CutRow(j, 1, 4, 1) for j in range(4)]
