@@ -14,7 +14,7 @@ import json
 import sys
 
 from .chem import BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report
-from .core import GraphError, IndexOverflowError
+from .core import GraphError, IndexOverflowError, distance_matrix
 from .files import (
     ParseError,
     format_coords_sidecar,
@@ -168,9 +168,10 @@ def cmd_index(args) -> int:
         wiener, szeged, rows = c4c8_report(spec)
     elif method == "brute":
         g = _graph_of(data, spec)
-        wiener, szeged = wiener_brute(g), szeged_brute(g)
+        d = distance_matrix(g)  # one matrix for both indices and the cut table
+        wiener, szeged = wiener_brute(g, d), szeged_brute(g, d)
         if args.verbose:
-            result = recognize_partial_cube(g)
+            result = recognize_partial_cube(g, d)
             if isinstance(result, PartialCube):
                 rows = cut_class_summaries(result)
     else:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
 from .core import UNREACHABLE, bfs_distances, component_labels, distance_matrix
+from .core import require_connected
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
 
@@ -95,9 +96,12 @@ def _weight_vector(w, reach: int, exact: bool) -> np.ndarray:
     return np.array(w, dtype=object if exact else np.float64)
 
 
-def _wiener(g: Graph, w, what: str):
-    """Sum over ordered pairs of w(u) w(v) d(u,v) / 2; w of None is unit weight."""
-    d = distance_matrix(g)
+def _wiener(g: Graph, w, what: str, d: np.ndarray | None = None):
+    """Sum over ordered pairs of w(u) w(v) d(u,v) / 2; w of None is unit weight.
+
+    d, if given, is g's distance matrix.
+    """
+    d = distance_matrix(g) if d is None else d
     n = g.vertex_count
     w = (1,) * n if w is None else w
     vec = _weight_vector(w, n, exact=False)  # row sums are below n * max(w) * n
@@ -109,15 +113,16 @@ def _wiener(g: Graph, w, what: str):
     return check_u64(double // 2 if isinstance(double, int) else double / 2, what)
 
 
-def _szeged(g: Graph, w, w_edge, what: str):
+def _szeged(g: Graph, w, w_edge, what: str, d: np.ndarray | None = None):
     """Sum over edges uv of w'(uv) times the weights strictly closer to u, and to v.
 
-    w or w_edge of None is unit weight.  Each block of edges takes the masks
-    d[u] < d[v] and d[v] < d[u] of its rows.  An int64 side is mask @ w;
-    otherwise each side sums only its own weights, so a NaN or inf weight
-    spoils no other side, nor (edges of weight 0 are skipped) the total.
+    w or w_edge of None is unit weight; d, if given, is g's distance matrix.
+    Each block of edges takes the masks d[u] < d[v] and d[v] < d[u] of its
+    rows.  An int64 side is mask @ w; otherwise each side sums only its own
+    weights, so a NaN or inf weight spoils no other side, nor (edges of
+    weight 0 are skipped) the total.
     """
-    d = distance_matrix(g)
+    d = distance_matrix(g) if d is None else d
     n, m = g.vertex_count, g.edge_count
     w_edge = (1,) * m if w_edge is None else w_edge
     vec = _weight_vector((1,) * n if w is None else w, 1, exact=True)
@@ -137,14 +142,20 @@ def _szeged(g: Graph, w, w_edge, what: str):
     return check_u64(total, what)
 
 
-def wiener_brute(g: Graph) -> int:
-    """Sum of distances over unordered vertex pairs, from the distance matrix."""
-    return _wiener(g, None, "Wiener index")
+def wiener_brute(g: Graph, d: np.ndarray | None = None) -> int:
+    """Sum of distances over unordered vertex pairs, from the distance matrix.
+
+    d, if given, is g's distance matrix, so callers can share one.
+    """
+    return _wiener(g, None, "Wiener index", d)
 
 
-def szeged_brute(g: Graph) -> int:
-    """Sum over edges of the product of strict-side vertex counts."""
-    return _szeged(g, None, None, "Szeged index")
+def szeged_brute(g: Graph, d: np.ndarray | None = None) -> int:
+    """Sum over edges of the product of strict-side vertex counts.
+
+    d, if given, is g's distance matrix, so callers can share one.
+    """
+    return _szeged(g, None, None, "Szeged index", d)
 
 
 def wiener_weighted(gw: VertexWeightedGraph):
@@ -191,18 +202,27 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
     One tree pass reads a tree quotient: a class of k edges leaves k + 1 parts
     there, and its anchor is on the side without vertex 0 iff it is the end of
     its edge farther from 0.  Other quotients take a components call per class.
+
+    A quotient is connected iff g is, so a disconnected g raises core's
+    GraphError.  A quotient with n_q - 1 edges shows it in the BFS it takes
+    anyway; otherwise the first group's quotient pays one components call.
     """
     from .treedp import tree_cut_rows  # at call time: treedp imports this module
 
-    for group in cp.groups:
+    for i, group in enumerate(cp.groups):
         wq = quotient_by_edge_classes(g, theta, group)
         q, weights, anchors = wq.quotient, wq.vertex_weight, wq.class_anchors
         edges_of: dict[int, list[int]] = {}
         for f, j in enumerate(wq.edge_class):
             edges_of.setdefault(j, []).append(f)
-        # n_q - 1 edges make a tree unless q, and so g, is disconnected
-        depth = bfs_distances(q, 0) if q.edge_count == q.vertex_count - 1 else [UNREACHABLE]
-        tree = UNREACHABLE not in depth
+        tree = q.edge_count == q.vertex_count - 1
+        if tree:
+            depth = bfs_distances(q, 0)
+            connected = UNREACHABLE not in depth
+        else:
+            connected = i > 0 or component_labels(q, ())[1] == 1
+        if not connected:
+            require_connected(g)  # raises: g is disconnected as q is
         for j, cut in edges_of.items():
             comp, count = (None, len(cut) + 1) if tree else component_labels(q, cut)
             if count != 2:
@@ -233,8 +253,9 @@ def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> lis
     with exactly two components, whose vertex weights are the sides of
     class j in g; the side holding the class anchor comes first, so the rows
     equal the cut route's.  Tree quotients take the linear tree pass.  A
-    quotient edge standing for two classes, or a cut leaving other than two
-    components, raises GraphError.  Sorted by class index.
+    disconnected g, a quotient edge standing for two classes, or a cut
+    leaving other than two components raises GraphError.  Sorted by class
+    index.
     """
     return sorted(
         CutRow(j, size, *((n1, n2) if anchored else (n2, n1)))

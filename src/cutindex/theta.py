@@ -7,13 +7,15 @@ Two edges e1 = u1v1, e2 = u2v2 are related when
 The relation is reflexive and symmetric; its transitive closure partitions the
 edge set into classes E_1, ..., E_r.  A connected graph is a partial cube
 exactly when it is bipartite and the relation is already transitive; we
-recognize that directly: grow each class as a search over the relation, one
-vectorised relation row (one edge against all edges) per member, cut along
-each class, read off a binary coordinate per class, and verify exhaustively
-with a row-blocked array comparison that Hamming distance of the coordinates
-equals graph distance for every vertex pair.  Acceptance therefore comes with
-a fully checked hypercube embedding, and rejection with a machine-checkable
-witness.
+recognize that directly.  Each class grows as a search over the relation, one
+vectorised relation row (one edge against all edges) per distinct cut vector
+d(u1,.) - d(v1,.) among its members, as edges with equal cuts have equal
+rows, and the search stops once every edge is assigned; a partial cube thus
+takes one row per class.  Then cut along each class, read off a binary
+coordinate per class, and verify exhaustively with a row-blocked array
+comparison that Hamming distance of the coordinates equals graph distance
+for every vertex pair.  Acceptance therefore comes with a fully checked
+hypercube embedding, and rejection with a machine-checkable witness.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .core import (
 #: The isometry check compares label Hamming distances with the distance
 #: matrix in row blocks of at most this many (vertex pair, label word) cells.
 _HAMMING_BLOCK_CELLS = 1 << 20
+
+#: Theta* closure takes its members' cut vectors, and evaluates their relation
+#: rows, in blocks of at most this many (member, vertex or edge) cells.
+_THETA_BLOCK_CELLS = 1 << 18
 
 
 def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
@@ -88,36 +94,86 @@ class ThetaPartition:
 
 
 def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
-    """Transitive-closure classes, grown one relation row at a time.
+    """Transitive-closure classes, grown one distinct relation row at a time.
 
-    Each class starts at the smallest unassigned edge and grows breadth-first:
-    the relation row of a member a = (ua, va) against every edge (u, v) is the
-    four-distance test of theta_related, d[ua,u] + d[va,v] != d[ua,v] + d[va,u],
-    evaluated as one array expression, and every unassigned edge it hits
-    joins the class.  Each edge's row is evaluated exactly once, so the work
-    is m rows of O(m) array operations, exact on any graph.
+    The relation row of an edge a = (ua, va) against every edge (u, v) is
+    s[u] != s[v], where s = d[ua] - d[va] is a's cut vector, with entries -1,
+    0 and 1: it is the four-distance test of theta_related, and edges whose
+    cut vectors agree up to sign have the same row.  Each class starts at the
+    smallest unassigned edge and grows breadth-first, every unassigned edge
+    that a member's row hits joining it, but a member whose cut vector the
+    class has met before adds no row (_distinct_rows).  A class stops growing
+    once no edge is left unassigned.
+
+    The result is exact on any connected graph.  The edges of a partial
+    cube's class share one cut, so there a class costs one row of O(m) array
+    operations plus the cut vectors of its members; in general, one row per
+    distinct cut vector.
 
     Class order is deterministic: by smallest contained edge index.
     """
     if d is None:
         d = distance_matrix(g)  # raises on disconnected input
-    m = g.edge_count
+    n, m = g.vertex_count, g.edge_count
     u, v = g.ends[:, 0], g.ends[:, 1]
+    # Each distance's low byte as int8, a view of the int32 matrix that
+    # distance_matrix returns.  From any vertex the ends of an edge are at
+    # distances at most 1 apart, so the wrapping int8 difference of their low
+    # bytes is the cut vector exactly.
+    low = np.ascontiguousarray(d, dtype="<i4").view(np.int8)[:, ::4]
+    block = max(1, _THETA_BLOCK_CELLS // max(n, m, 1))
     class_of = np.full(m, -1, dtype=np.intp)
-    count = 0
+    left, count = m, 0
     for start in range(m):
+        if not left:
+            break
         if class_of[start] != -1:
             continue
         class_of[start] = count
+        left -= 1
         members = [start]
-        for a in members:  # members grows while it is walked
-            du, dv = d[u[a]], d[v[a]]
-            row = du[u] + dv[v] != du[v] + dv[u]
-            joined = np.flatnonzero(row & (class_of == -1))
+        for hit in _distinct_rows(low, u, v, members, block):
+            joined = np.flatnonzero(hit & (class_of == -1))
             class_of[joined] = count
+            left -= len(joined)
             members.extend(joined.tolist())
+            if not left:
+                break
         count += 1
     return ThetaPartition._from_labels(class_of, count)
+
+
+def _distinct_rows(low: np.ndarray, u: np.ndarray, v: np.ndarray, members: list, block: int):
+    """Relation rows of a growing member list, one per distinct cut vector.
+
+    low holds the distances' low bytes as int8.  Yields the first member's
+    row, then, for each block of later members (the caller appends members
+    between yields), the OR of the rows of the cut vectors not met before,
+    if any.  A cut vector and its negative share a row and a key.
+    """
+    first = low[u[members[0]]] - low[v[members[0]]]
+    yield first[u] != first[v]
+    if len(members) == 1:
+        return  # the first row hit nothing, so the class is complete
+    seen, done = set(), 0
+    while done < len(members):
+        batch = members[done : done + block]
+        cuts = low[u[batch]] - low[v[batch]]
+        # Key each cut exactly, signed so that its first nonzero entry is
+        # positive, by the packed bits of its positive and negative entries.
+        signed = cuts * cuts[np.arange(len(batch)), (cuts != 0).argmax(axis=1), None]
+        keys = np.hstack([np.packbits(signed > 0, axis=1), np.packbits(signed < 0, axis=1)])
+        fresh = []
+        for i, key in enumerate(map(bytes, keys)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if done == 0:
+            fresh.pop(0)  # the first member: its row came first
+        done += len(batch)
+        if fresh:
+            rows = cuts[fresh]
+            yield (rows[:, u] != rows[:, v]).any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -210,17 +266,18 @@ def _cut_labelling(g: Graph, theta: ThetaPartition):
     return labels
 
 
-def recognize_partial_cube(g: Graph):
+def recognize_partial_cube(g: Graph, d: np.ndarray | None = None):
     """Recognize g as a partial cube, or reject with a witness.
 
     Returns a PartialCube whose labeling has been verified exhaustively
     (every class cut two-sided, every vertex pair's Hamming distance equal to
     its graph distance), or a RecognitionWitness.  Disconnected or empty
-    input is an error, not a rejection.
+    input is an error, not a rejection.  d, if given, is g's distance matrix.
     """
     if g.vertex_count == 0:
         raise GraphError("empty graph")
-    d = distance_matrix(g)  # raises on disconnected input
+    if d is None:
+        d = distance_matrix(g)  # raises on disconnected input
 
     _, odd = is_bipartite(g)
     if odd is not None:

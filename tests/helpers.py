@@ -78,6 +78,21 @@ def hypercube_near_miss(n: int, u: int, v: int) -> ci.Graph:
     return ci.build_graph(2**n, list(g.edges) + [(u, v)])
 
 
+def relabelled(g: ci.Graph, rng) -> ci.Graph:
+    """g with a random vertex permutation, edge order and edge orientation.
+
+    The same shuffle as bench/gen.py gives its instances, so edges of one
+    class point both ways and their cut vectors differ in sign.
+    """
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a])
+             for a, b in edges]
+    return ci.build_graph(g.vertex_count, edges)
+
+
 def theta_closure_by_pairs(g: ci.Graph) -> tuple[tuple, tuple]:
     """Transitive closure of theta_related as (classes, class_of).
 

@@ -47,6 +47,28 @@ def test_index_methods_agree(tmp_path, capsys, method):
     assert _lines(capsys) == ["wiener=8", "szeged=16"]
 
 
+@pytest.mark.parametrize("verbose", [[], ["--verbose"]])
+def test_index_brute_builds_one_distance_matrix(tmp_path, capsys, monkeypatch, verbose):
+    import cutindex.cli
+    import cutindex.indices
+    import cutindex.theta
+
+    calls = []
+    real = ci.distance_matrix
+
+    def counted(g):
+        calls.append(g.vertex_count)
+        return real(g)
+
+    for module in (cutindex.cli, cutindex.indices, cutindex.theta):
+        monkeypatch.setattr(module, "distance_matrix", counted)
+    rc = main(["index", _write(tmp_path, "c4.graph", C4), *verbose])
+    assert rc == 0
+    assert _lines(capsys)[:3] == ["wiener=8", "szeged=16", *(
+        ["class=0 size=2 n1=2 n2=2 wiener_term=4 szeged_term=8"] if verbose else [])]
+    assert calls == [4]
+
+
 def test_index_cut_verbose_table(tmp_path, capsys):
     rc = main(["index", _write(tmp_path, "c4.graph", C4), "--method", "cut", "--verbose"])
     assert rc == 0

@@ -482,9 +482,25 @@ def test_partition_rows_trusts_theta_to_be_the_theta_partition():
     assert ci.indices_from_rows(rows)[0] == 12
     assert ci.wiener_brute(g) == 14
     # C4 plus an isolated vertex, every edge its own class: the quotient has
-    # n_q - 1 edges yet is no tree, so components label each class cut, and
-    # each leaves two parts: rows for a graph that has no Wiener index.
+    # n_q - 1 edges yet is no tree, and each class cut leaves two parts, but a
+    # graph with no Wiener index has no rows: core's disconnected error.
     g = ci.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
     theta = ci.ThetaPartition.from_classes([[k] for k in range(4)], g.edge_count)
-    rows = ci.partition_rows(g, theta, ci.coarsest_partition(theta))
-    assert rows == [ci.CutRow(j, 1, 4, 1) for j in range(4)]
+    with pytest.raises(ci.GraphError) as err:
+        ci.partition_rows(g, theta, ci.coarsest_partition(theta))
+    assert str(err.value) == "graph is disconnected: no path between vertices 0 and 4"
+
+
+@pytest.mark.parametrize("grouping", [[[0], [1], [2]], [[0, 1], [2]], [[2], [0, 1]]])
+def test_partition_rows_rejects_a_disconnected_graph(grouping):
+    # C4 on 0, 1, 3, 4 plus the edge 2-5: vertex 2 is the first one vertex 0
+    # cannot reach.  Groups {0} and {2} give quotients that are no tree by
+    # edge count (components check); {0, 1} gives one with n_q - 1 edges (BFS).
+    g = ci.build_graph(6, [(0, 1), (1, 3), (3, 4), (4, 0), (2, 5)])
+    theta = ci.ThetaPartition.from_classes([[0, 2], [1, 3], [4]], g.edge_count)
+    with pytest.raises(ci.GraphError) as err:
+        ci.partition_rows(g, theta, ci.validate_coarser(theta, grouping))
+    assert str(err.value) == "graph is disconnected: no path between vertices 0 and 2"
+    with pytest.raises(ci.GraphError) as core_err:
+        ci.distance_matrix(g)
+    assert str(core_err.value) == str(err.value)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from helpers import (
     random_benzenoid,
     random_c4c8,
     random_tree,
+    relabelled,
     theta_closure_by_pairs,
 )
 
@@ -285,17 +287,59 @@ def _closure_cases():
                if bin(u ^ v).count("1") % 2 == 1 and bin(u ^ v).count("1") >= 3]
         for u, v in rng.sample(far, 3):
             cases[f"Q{n}+{u}-{v}"] = lambda n=n, u=u, v=v: hypercube_near_miss(n, u, v)
+    # Odd cycles with two chords: cut vectors have zero entries there, and
+    # one class holds cuts of equal support but different signs.
+    for n, chords in ((5, [(0, 3), (2, 4)]), (5, [(1, 3), (2, 4)]),
+                      (7, [(0, 3), (2, 6)]), (7, [(2, 4), (3, 5)])):
+        edges = [(i, (i + 1) % n) for i in range(n)] + chords
+        name = f"C{n}" + "".join(f"+{a}-{b}" for a, b in chords)
+        cases[name] = lambda n=n, edges=edges: ci.build_graph(n, edges)
+    # Shuffled as bench/gen.py shuffles: edges of one class point both ways,
+    # so equal cuts come with opposite signs.  Near-misses as bench/gen.py
+    # draws them: an edge to a vertex 3, 5, ... bit flips away.
+    for n in (6, 7):
+        for t in range(2):
+            u = rng.randrange(2**n)
+            v = u ^ sum(1 << b for b in rng.sample(range(n), rng.choice(range(3, n + 1, 2))))
+            seed = rng.randrange(2**32)
+            cases[f"Q{n}+{u}-{v}~{t}"] = lambda n=n, u=u, v=v, seed=seed: relabelled(
+                hypercube_near_miss(n, u, v), random.Random(seed))
+    shuffled = ("Q4", "Q5", "C10", "C9", "K4", "petersen", "c4c8-0", "benzenoid-0",
+                "C5+0-3+2-4", "C7+2-4+3-5")
+    shuffled += (next(name for name in cases if name.startswith("tree0-")),)
+    for name in shuffled:
+        seed = rng.randrange(2**32)
+        cases[f"{name}~"] = lambda make=cases[name], seed=seed: relabelled(
+            make(), random.Random(seed))
     return cases
 
 
 _CLOSURE_CASES = _closure_cases()
 
 
+@functools.cache
+def _closure_case(name):
+    """The case's graph and its pairwise closure, built once per name."""
+    g = _CLOSURE_CASES[name]()
+    return g, theta_closure_by_pairs(g)
+
+
 @pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
 def test_theta_star_equals_pairwise_closure(name):
-    g = _CLOSURE_CASES[name]()
+    g, (classes, class_of) = _closure_case(name)
     tp = ci.theta_star_classes(g)
-    classes, class_of = theta_closure_by_pairs(g)
+    assert tp.classes == classes
+    assert tp.class_of == class_of
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
+@pytest.mark.parametrize("block_cells", [1, 97])
+def test_theta_star_block_budget_keeps_the_closure(monkeypatch, block_cells, name):
+    # 1 cell takes one member per block; 97 cells several on graphs of fewer
+    # than 49 vertices and edges, and one on larger ones.
+    monkeypatch.setattr(theta_module, "_THETA_BLOCK_CELLS", block_cells)
+    g, (classes, class_of) = _closure_case(name)
+    tp = ci.theta_star_classes(g)
     assert tp.classes == classes
     assert tp.class_of == class_of
 
