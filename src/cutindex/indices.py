@@ -3,8 +3,8 @@
 The cut method makes both indices sums over cuts: a row
 CutRow(class_index, size, n1, n2) per cut contributes n1 * n2 to the Wiener
 index and size * n1 * n2 to the Szeged index (CutRow lives in quotient).
-Every fast route is a producer of such rows, and indices_from_rows is the one
-place they are summed:
+Every fast route is a producer of such rows, summed by indices_from_rows
+(the tree pass sums its own as arrays):
 
   * the cut route, one row per Theta class of a recognized partial cube
     (cut_class_summaries);
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
-from .core import UNREACHABLE, bfs_distances, component_labels, distance_matrix
+from .core import component_labels, distance_matrix
 from .core import require_connected
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
 from .theta import PartialCube, ThetaPartition, class_sides
@@ -168,23 +168,18 @@ def szeged_weighted(gww: VertexEdgeWeightedGraph):
     return _szeged(gww.graph, gww.w, gww.w_edge, "weighted Szeged index")
 
 
-def indices_from_rows(rows, weighted: bool = False):
+def indices_from_rows(rows):
     """(Wiener, Szeged): the sums of n1 * n2 and size * n1 * n2 over cut rows.
 
     Rows are CutRows or plain (class_index, size, n1, n2) tuples.  Both sums
-    are checked against the unsigned 64-bit range, the Wiener index first;
-    weighted only changes the wording of those errors.
+    are checked against the unsigned 64-bit range, the Wiener index first.
     """
     wiener = szeged = 0
     for _, size, n1, n2 in rows:
         term = n1 * n2
         wiener += term
         szeged += size * term
-    what = "weighted " if weighted else ""
-    return (
-        check_u64(wiener, what + "Wiener index"),
-        check_u64(szeged, what + "Szeged index"),
-    )
+    return check_u64(wiener, "Wiener index"), check_u64(szeged, "Szeged index")
 
 
 def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
@@ -204,10 +199,10 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
     its edge farther from 0.  Other quotients take a components call per class.
 
     A quotient is connected iff g is, so a disconnected g raises core's
-    GraphError.  A quotient with n_q - 1 edges shows it in the BFS it takes
-    anyway; otherwise the first group's quotient pays one components call.
+    GraphError.  A quotient with n_q - 1 edges shows it in its tree pass;
+    otherwise the first group's quotient pays one components call.
     """
-    from .treedp import tree_cut_rows  # at call time: treedp imports this module
+    from .treedp import _tree_sides  # at call time: treedp imports this module
 
     for i, group in enumerate(cp.groups):
         wq = quotient_by_edge_classes(g, theta, group)
@@ -217,12 +212,13 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
             edges_of.setdefault(j, []).append(f)
         tree = q.edge_count == q.vertex_count - 1
         if tree:
-            depth = bfs_distances(q, 0)
-            connected = UNREACHABLE not in depth
-        else:
-            connected = i > 0 or component_labels(q, ())[1] == 1
-        if not connected:
-            require_connected(g)  # raises: g is disconnected as q is
+            try:
+                sides = _tree_sides(q, weights, wq.edge_weight)
+            except GraphError:
+                require_connected(g)  # raises: g is disconnected as q is
+                raise
+        elif i == 0 and component_labels(q, ())[1] != 1:
+            require_connected(g)
         for j, cut in edges_of.items():
             comp, count = (None, len(cut) + 1) if tree else component_labels(q, cut)
             if count != 2:
@@ -236,10 +232,9 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
                 size = sum(wq.edge_weight[f] for f in cut)
                 yield j, size, n1, sum(weights) - n1, comp[anchors[j]] == 1
         if tree:
-            weighted = VertexEdgeWeightedGraph(q, weights, wq.edge_weight)
-            for f, size, n1, n2 in tree_cut_rows(weighted):
-                j = wq.edge_class[f]
-                yield j, size, n1, n2, anchors[j] != min(q.edges[f], key=depth.__getitem__)
+            n1, n2, child = (column.tolist() for column in sides)
+            for f, j in enumerate(wq.edge_class):
+                yield j, wq.edge_weight[f], n1[f], n2[f], anchors[j] == child[f]
 
 
 def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> list[CutRow]:

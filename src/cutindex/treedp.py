@@ -1,31 +1,23 @@
-"""Linear-time weighted Wiener and Szeged indices of trees.
+"""Weighted Wiener and Szeged indices of trees from one array pass.
 
-Removing an edge of a tree leaves exactly two components, so a tree is the
-simplest row producer of the cut method: each edge e is a cut with one row
-(e, w_e, n1, n2), where n1 and n2 are the weight sums of the two sides, and
-indices_from_rows sums those rows into both indices.
-
-The rows come from peeling leaves.  NumPy computes, from the edge array,
-each vertex's degree and the XOR of its neighbours' ids and of its incident
-edges' ids; a leaf's only neighbour and edge are then its two XORs, and
-peeling it XORs it out of its neighbour's.  One flat loop pops leaves other
-than vertex 0, emits the row of each leaf's edge with the leaf's running
-weight as n1, and folds that weight into the neighbour, which becomes a leaf
-when its degree drops to one.  A peeled leaf's running weight is the weight
-of everything peeled into it, which is the side of its edge without vertex
-0; the other side is the total minus it.  A tree peels down to vertex 0 in
-exactly n - 1 steps; fewer means the graph is disconnected.  The evaluators
-stream these rows as plain tuples; tree_cut_rows returns them as CutRows in
-edge order.  The quadratic weighted evaluators in indices are the oracle
-they are checked against.
+Each edge e of a tree is a cut with one row (e, w_e, n1, n2), n1 and n2 the
+weights of its two sides.  Edge k gives the arcs 2k and 2k + 1, each the
+other's reverse.  The Euler tour (Tarjan and Vishkin, SIAM J. Comput. 14
+(1985) 862-874) leaves a's target by the arc after rev(a) in source order,
+and pointer jumping (Wyllie, 1979) ranks its L arcs in ceil(log2 L) rounds,
+whatever the tree's shape.  The earlier arc of an edge points to its child,
+and the side without vertex 0 is a difference of prefix sums of the weights
+in tour order.  The quadratic evaluators in indices are the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Graph, GraphError
-from .indices import CutRow, VertexEdgeWeightedGraph, VertexWeightedGraph, indices_from_rows
+from .core import Graph, GraphError, check_u64
+from .indices import _INT64_SAFE, CutRow, VertexEdgeWeightedGraph, VertexWeightedGraph
+
+_LOW = 2**32 - 1  # a tour link is (distance << 32) | arc
 
 
 def require_tree_counts(g: Graph) -> None:
@@ -41,61 +33,76 @@ def require_tree_counts(g: Graph) -> None:
         raise GraphError(f"not a tree: {n} vertices but {g.edge_count} edges")
 
 
-def _tree_cuts(g: Graph, weights, edge_weights):
-    """Yield (edge, w_e, side without vertex 0, rest) for every edge of the tree g.
+def _tree_sides(g: Graph, w: tuple, w_edge: tuple | None):
+    """(side without vertex 0, other side, end farther from vertex 0) per edge of the tree g.
 
-    Raises GraphError unless g is a tree: before the first row for an empty
-    graph or a wrong edge count, after the rows of the peelable part for a
-    disconnected one.  edge_weights of None gives every edge weight 1.
+    Arrays in edge order; w_edge of None is unit weight.  The sides are int64
+    if total**2 / 4 * max(m, sum(w_edge)), a bound on every sum the evaluators
+    form, is below _INT64_SAFE, else Python numbers.  Raises unless g is a tree.
     """
     require_tree_counts(g)
-    n = g.vertex_count
+    n, m = g.vertex_count, g.edge_count
+    total = sum(w)  # a sum of Python ints alone stays an int
+    load = m if w_edge is None else sum(w_edge)
+    fits = isinstance(total + load, int) and total * total // 4 * max(m, load) < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    if not m:
+        return np.zeros(0, dtype), np.zeros(0, dtype), np.zeros(0, np.int64)
     ends = g.ends
-    degree = np.bincount(ends.ravel(), minlength=n)
-    neighbours = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(neighbours, ends, ends[:, ::-1])
-    incident = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(incident, ends, np.arange(n - 1)[:, None])
-    leaves = np.flatnonzero(degree[1:] == 1) + 1
-    degree, neighbours, incident, leaves = (
-        degree.tolist(), neighbours.tolist(), incident.tolist(), leaves.tolist())
-
-    w = list(weights)
-    total = sum(w)
-    peeled = 0
-    while leaves:
-        y = leaves.pop()
-        if not degree[y]:
-            break  # y's last neighbour was peeled: a component without vertex 0
-        x, e = neighbours[y], incident[y]
-        side = w[y]
-        yield e, 1 if edge_weights is None else edge_weights[e], side, total - side
-        w[x] += side
-        neighbours[x] ^= y
-        incident[x] ^= e
-        degree[x] -= 1
-        if degree[x] == 1 and x:
-            leaves.append(x)
-        peeled += 1
-    if peeled != n - 1:
+    source = ends.ravel()  # arc 2k runs from ends[k, 0] to ends[k, 1], arc 2k + 1 back
+    degree = np.bincount(source, minlength=n)
+    if not degree.all():
         raise GraphError("not a tree: graph is disconnected")
+    order = np.argsort(source)
+    around = np.empty_like(order)  # around[a]: the arc after a, cyclically, out of a's source
+    around[order[:-1]] = order[1:]
+    stop = np.cumsum(degree)
+    around[order[stop - 1]] = order[stop - degree]
+    last = order[degree[0] - 1] ^ 1  # its successor is order[0], where the tour starts
+    link = (around.reshape(-1, 2)[:, ::-1] | 1 << 32).ravel()  # a's successor follows a ^ 1
+    link[last] = last
+    del order, around, stop, degree
+    for _ in range((2 * m - 1).bit_length()):
+        reached = link[link & _LOW]
+        link &= ~_LOW
+        link += reached
+    if ((link & _LOW) != last).any():
+        raise GraphError("not a tree: graph is disconnected")
+    forth, back = (link[0::2] >> 32) & _LOW, (link[1::2] >> 32) & _LOW  # distances to the end
+    del link, reached
+    child = np.where(forth > back, ends[:, 1], ends[:, 0])  # the earlier arc points down
+    enter, leave = np.maximum(forth, back), np.minimum(forth, back)
+    entered = np.zeros(2 * m, dtype)
+    entered[enter] = np.array(w, dtype)[child]
+    entered = np.cumsum(entered)
+    side = entered[enter] - entered[leave]
+    return side, total - side, child
+
+
+def _tree_sums(g: Graph, w: tuple, w_edge: tuple | None):
+    """(weighted Wiener, weighted Szeged) of the tree g, both range-checked."""
+    side, rest, _ = _tree_sides(g, w, w_edge)
+    term = side * rest
+    sums = term.sum(), (term if w_edge is None else np.array(w_edge, term.dtype) * term).sum()
+    wiener, szeged = sums if term.dtype == object else map(int, sums)
+    return check_u64(wiener, "weighted Wiener index"), check_u64(szeged, "weighted Szeged index")
 
 
 def tree_indices(t: VertexEdgeWeightedGraph):
-    """(weighted Wiener, weighted Szeged) of a tree from one O(n) pass."""
-    return indices_from_rows(_tree_cuts(t.graph, t.w, t.w_edge), weighted=True)
+    """(weighted Wiener, weighted Szeged) of a tree from one array pass."""
+    return _tree_sums(t.graph, t.w, t.w_edge)
 
 
 def wiener_tree_linear(t: VertexWeightedGraph):
     """Weighted Wiener index of a tree as the sum of per-edge side products.
 
-    One O(n) pass; equals the quadratic weighted definition.
+    One array pass; equals the quadratic weighted definition.
     """
-    return indices_from_rows(_tree_cuts(t.graph, t.w, None), weighted=True)[0]
+    return _tree_sums(t.graph, t.w, None)[0]
 
 
 def szeged_tree_linear(t: VertexEdgeWeightedGraph):
-    """Weighted Szeged index of a tree in one O(n) pass.
+    """Weighted Szeged index of a tree in one array pass.
 
     Both sums of the pass are range-checked, so a weighted Wiener index past
     2^64 - 1 raises here too.
@@ -108,7 +115,5 @@ def tree_cut_rows(t: VertexEdgeWeightedGraph) -> list[CutRow]:
 
     The same pass as the evaluators, ordered by edge index.
     """
-    rows = [None] * t.graph.edge_count
-    for e, size, n1, n2 in _tree_cuts(t.graph, t.w, t.w_edge):
-        rows[e] = CutRow(e, size, n1, n2)
-    return rows
+    side, rest, _ = _tree_sides(t.graph, t.w, t.w_edge)
+    return list(map(CutRow, range(t.graph.edge_count), t.w_edge, side.tolist(), rest.tolist()))

@@ -601,6 +601,14 @@ def test_tree_index_not_a_tree_exit_3(tmp_path):
     assert main(["tree-index", _write(tmp_path, "c4.graph", C4)]) == 3
 
 
+def test_tree_index_disconnection_comes_before_overflow(tmp_path, capsys):
+    # n - 1 edges, vertex 0 isolated, and weights whose indices would overflow.
+    big = 2**63
+    text = "p 4 3\ne 1 2\ne 2 3\ne 3 1\n" + "".join(f"wv {v} {big}\n" for v in range(4))
+    assert main(["tree-index", _write(tmp_path, "big-forest.graph", text)]) == 3
+    assert capsys.readouterr() == ("", "error: not a tree: graph is disconnected\n")
+
+
 _HUGE_HEADERS = ["p 2000000000 0\n", "# line parser\np 2000000000 0\n"]
 
 

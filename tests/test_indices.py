@@ -6,6 +6,7 @@ import pytest
 
 import cutindex as ci
 import cutindex.indices
+import cutindex.treedp
 from cutindex.chem import c4c8_theta_partition
 from cutindex.core import U64_MAX
 from helpers import (
@@ -310,8 +311,6 @@ def test_indices_from_rows_overflow():
     # The Wiener sum 2^63 fits, the Szeged sum 2^64 does not.
     with pytest.raises(ci.IndexOverflowError, match="^Szeged index 18446744073709551616 "):
         ci.indices_from_rows([(0, 2, 2**32, 2**31)])
-    with pytest.raises(ci.IndexOverflowError, match="^weighted Szeged index "):
-        ci.indices_from_rows([(0, 2, 2**32, 2**31)], weighted=True)
     # The largest representable value is accepted.
     assert ci.indices_from_rows([(0, 1, 2**64 - 1, 1)]) == (2**64 - 1, 2**64 - 1)
 
@@ -405,7 +404,7 @@ def test_partition_rows_equal_quotient_theta_classes(monkeypatch):
 
         monkeypatch.setattr(name, counted)
 
-    spy("cutindex.treedp.tree_cut_rows", ci.tree_cut_rows)
+    spy("cutindex.treedp._tree_sides", cutindex.treedp._tree_sides)
     spy("cutindex.indices.component_labels", cutindex.indices.component_labels)
 
     # Vertex 0 at a leaf, in the middle of a path and at a tree's hub: a class
@@ -444,7 +443,7 @@ def test_partition_rows_equal_quotient_theta_classes(monkeypatch):
         g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
         assert ci.partition_rows(g, theta, cp) == _rows_via_quotient_theta(g, theta, cp)
-    assert ran["cutindex.treedp.tree_cut_rows"] and ran["cutindex.indices.component_labels"]
+    assert ran["cutindex.treedp._tree_sides"] and ran["cutindex.indices.component_labels"]
 
 
 @pytest.mark.parametrize(

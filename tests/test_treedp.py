@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     random_tree,
     random_weights,
     reference_quotient_trees,
+    relabelled,
     tree_rows_by_bfs,
 )
 
@@ -123,6 +125,10 @@ def test_not_a_tree_errors():
         (0, [], "not a tree: empty graph"),
         (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "not a tree: 4 vertices but 4 edges"),
         (5, [(0, 1), (1, 2), (0, 2), (3, 4)], "not a tree: graph is disconnected"),
+        (4, [(1, 2), (2, 3), (3, 1)], "not a tree: graph is disconnected"),
+        # Two triangles at vertex 0 and two isolated vertices: the tour from
+        # vertex 0 takes all 12 arcs, so only the isolated vertices show it.
+        (7, [(0, 1), (1, 2), (0, 3), (2, 0), (3, 4), (4, 0)], "not a tree: graph is disconnected"),
     ],
 )
 def test_not_a_tree_messages_pinned(n, edges, message):
@@ -132,6 +138,7 @@ def test_not_a_tree_messages_pinned(n, edges, message):
         lambda: ci.wiener_tree_linear(ci.VertexWeightedGraph(g, [1] * n)),
         lambda: ci.szeged_tree_linear(gww),
         lambda: ci.tree_cut_rows(gww),
+        lambda: ci.tree_indices(gww),
     ):
         with pytest.raises(ci.GraphError) as err:
             evaluate()
@@ -182,3 +189,76 @@ def test_tree_cut_rows_match_rooted_bfs():
             assert len(g2.adjacency[0]) == degrees[root]
             t = ci.VertexEdgeWeightedGraph(g2, random_weights(rng, n), random_weights(rng, n - 1))
             assert ci.tree_cut_rows(t) == tree_rows_by_bfs(t)
+
+
+def _caterpillar(rng, spine: int, legs: int) -> ci.Graph:
+    """A path of spine vertices, each with up to legs leaves, labels shuffled."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(rng.randint(0, legs)):
+            edges.append((i, n))
+            n += 1
+    return relabelled(ci.build_graph(n, edges), rng)
+
+
+def _shapes(rng):
+    """Trees of every shape the tour ranks, vertex 0 anywhere in them."""
+    shapes = [ci.build_graph(1, []), path(2), ci.build_graph(2, [(1, 0)])]
+    for n in (3, 17, 200):
+        star = ci.build_graph(n, [(0, v) for v in range(1, n)])
+        shapes += [random_tree(rng, n), star, relabelled(star, rng)]
+        shapes += [path(n), relabelled(path(n), rng)]
+    shapes += [_caterpillar(rng, 12, 3), _caterpillar(rng, 60, 5)]
+    return shapes
+
+
+def _big_weights(rng, count):
+    return tuple(2**70 + rng.randint(0, 2**40) for _ in range(count))
+
+
+def _float_weights(rng, count):
+    return tuple(rng.uniform(0.0, 100.0) for _ in range(count))
+
+
+@pytest.mark.parametrize("weights", [random_weights, _big_weights], ids=["int64", "beyond-int64"])
+def test_tree_rows_equal_rooted_bfs_on_every_shape(weights):
+    rng = random.Random(61)
+    for g in _shapes(rng):
+        n, m = g.vertex_count, g.edge_count
+        t = ci.VertexEdgeWeightedGraph(g, weights(rng, n), weights(rng, m))
+        rows = tree_rows_by_bfs(t)
+        assert ci.tree_cut_rows(t) == rows
+        if weights is random_weights:  # the indices of the others overflow
+            wiener, szeged = ci.indices_from_rows(rows)
+            assert ci.tree_indices(t) == (wiener, szeged)
+            assert ci.wiener_tree_linear(ci.VertexWeightedGraph(g, t.w)) == wiener
+
+
+def test_float_weights_agree_with_the_quadratic_definitions():
+    # Prefix-sum differences round otherwise than a leaf-to-root sum does,
+    # by a few ulps of the running total.
+    rng = random.Random(67)
+    for g in _shapes(rng):
+        n, m = g.vertex_count, g.edge_count
+        t = ci.VertexEdgeWeightedGraph(g, _float_weights(rng, n), _float_weights(rng, m))
+        for row, expected in zip(ci.tree_cut_rows(t), tree_rows_by_bfs(t), strict=True):
+            assert row == pytest.approx(expected, rel=1e-12, abs=1e-12 * sum(t.w))
+        gw = ci.VertexWeightedGraph(g, t.w)
+        assert ci.wiener_tree_linear(gw) == pytest.approx(ci.wiener_weighted(gw), rel=1e-12)
+        assert ci.szeged_tree_linear(t) == pytest.approx(ci.szeged_weighted(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_sums_exact_at_the_int64_bound(step):
+    # total**2 // 4 * max(m, sum of edge weights) against 2**62, from both sides.
+    rng = random.Random(71)
+    g = random_tree(rng, 50)
+    w_edge = random_weights(rng, 49, hi=3)
+    total = math.isqrt(2**62 // max(49, sum(w_edge)) * 4) + step
+    w = [total // 50] * 50
+    w[0] += total - sum(w)
+    t = ci.VertexEdgeWeightedGraph(g, w, w_edge)
+    rows = tree_rows_by_bfs(t)
+    assert ci.tree_cut_rows(t) == rows
+    assert ci.tree_indices(t) == ci.indices_from_rows(rows)
