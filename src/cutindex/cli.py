@@ -24,7 +24,6 @@ from .files import (
     sniff_kind,
 )
 from .indices import (
-    VertexEdgeWeightedGraph,
     cut_class_summaries,
     indices_from_rows,
     partition_rows,
@@ -33,7 +32,7 @@ from .indices import (
 )
 from .quotient import coarsest_partition, finest_partition, validate_coarser
 from .theta import PartialCube, recognize_partial_cube
-from .treedp import require_tree_counts, tree_indices
+from .treedp import _tree_sums, require_tree_counts
 
 
 class _UsageError(Exception):
@@ -234,9 +233,8 @@ def cmd_generate(args) -> int:
 
 def cmd_tree_index(args) -> int:
     data = parse_graph_text(_read(args.file))
-    require_tree_counts(data.graph)  # before any per-vertex weight list
-    weighted = VertexEdgeWeightedGraph(data.graph, data.vertex_weights, data.edge_weights)
-    wiener, szeged = tree_indices(weighted)
+    require_tree_counts(data.graph)  # before any per-vertex weight vector
+    wiener, szeged = _tree_sums(data.graph, *data.weight_vectors())
     if args.json:
         print(json.dumps({"command": "tree-index", "wiener": wiener, "szeged": szeged}))
     else:

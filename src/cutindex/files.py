@@ -19,12 +19,14 @@ pass over its bytes, which hands build_graph an (m, 2) int64 edge array and
 builds no per-edge tuple (_parse_graph_arrays).  Anything else, and any
 plain file with a fault, goes to the line-by-line parser, which owns every
 ParseError: its texts and line numbers are the same whichever path a file
-would have taken.  Weight lines stay sparse in GraphFileData until a
-caller asks for the per-vertex tuple.
+would have taken.  Both keep the weight lines as arrays, and GraphFileData
+scatters them into one int64 vector per kind (Python ints only for a kind
+with a weight past int64), so tree-index builds no per-vertex object.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,14 +47,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
-
-
 def _int(fields, idx, lineno, what):
     try:
         return int(fields[idx])
@@ -60,54 +54,65 @@ def _int(fields, idx, lineno, what):
         raise ParseError(lineno, f"expected integer {what}") from None
 
 
-def _dense(count: int, lines) -> tuple[int, ...]:
-    weights = [1] * count
-    for idx, w in zip(*lines):
-        weights[idx] = w
-    return tuple(weights)
+def _dense(count: int, lines) -> np.ndarray:
+    """The weight of each of count indices, 1 where no line gives one."""
+    idx, values = lines
+    weights = np.ones(count, values.dtype)  # object: Python ints, as the values
+    weights[idx] = values
+    return weights
 
 
 def _nondefault(lines) -> frozenset[tuple[int, int]]:
-    return frozenset((idx, w) for idx, w in zip(*lines) if w != 1)
+    idx, values = lines
+    return frozenset(zip(idx[values != 1].tolist(), values[values != 1].tolist()))
+
+
+def _line_arrays(values: dict[int, int]):
+    """(indices, weights) of a kind's lines; the weights are object if one passes int64."""
+    dtype = np.int64 if max(values.values(), default=0) < 2**63 else object
+    return np.array(list(values), np.int64), np.array(list(values.values()), dtype)
 
 
 @dataclass(frozen=True, eq=False)
 class GraphFileData:
     """A parsed graph file.
 
-    The weight lines are kept as read, an (indices, weights) pair of int
-    tuples per kind, and the per-vertex and per-edge tuples (weight 1 where
-    no line gives one) are built on first use: a header may declare far
-    more vertices than the file has lines, and nothing O(n) is allocated
-    until a caller asks.  Equality and hash go by the graph and the dense
-    weights, so the order of the lines and lines that give weight 1 do not
-    count; they are computed from the lines, without the dense tuples.
+    The weight lines are kept as read, an int64 (indices, weights) array
+    pair per kind; weights are Python ints in an object array if one passes
+    int64.  The dense vectors (weight 1 where no line gives one) and the
+    tuple views are built on request: a header may declare far more vertices
+    than the file has lines.  Equality and hash go by the graph and the
+    dense weights, so the order of the lines and lines that give weight 1
+    do not count; they are computed from the lines alone.
     """
 
     graph: Graph
-    vertex_weight_lines: tuple[tuple[int, ...], tuple[int, ...]]
-    edge_weight_lines: tuple[tuple[int, ...], tuple[int, ...]]
+    vertex_lines: tuple[np.ndarray, np.ndarray]
+    edge_lines: tuple[np.ndarray, np.ndarray]
+
+    def weight_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vertex weights, edge weights) as vectors of the lines' dtypes."""
+        g = self.graph
+        return _dense(g.vertex_count, self.vertex_lines), _dense(g.edge_count, self.edge_lines)
+
+    @cached_property
+    def vertex_weight_lines(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(tuple(column.tolist()) for column in self.vertex_lines)
 
     @cached_property
     def vertex_weights(self) -> tuple[int, ...]:
-        return _dense(self.graph.vertex_count, self.vertex_weight_lines)
+        return tuple(_dense(self.graph.vertex_count, self.vertex_lines).tolist())
 
     @cached_property
     def edge_weights(self) -> tuple[int, ...]:
-        return _dense(self.graph.edge_count, self.edge_weight_lines)
+        return tuple(_dense(self.graph.edge_count, self.edge_lines).tolist())
 
     @property
     def has_nondefault_weights(self) -> bool:
-        return any(w != 1 for w in self.vertex_weight_lines[1]) or any(
-            w != 1 for w in self.edge_weight_lines[1]
-        )
+        return bool((self.vertex_lines[1] != 1).any() or (self.edge_lines[1] != 1).any())
 
     def _key(self):
-        return (
-            self.graph,
-            _nondefault(self.vertex_weight_lines),
-            _nondefault(self.edge_weight_lines),
-        )
+        return (self.graph, _nondefault(self.vertex_lines), _nondefault(self.edge_lines))
 
     def __eq__(self, other):
         if not isinstance(other, GraphFileData):
@@ -214,7 +219,7 @@ def _parse_graph_arrays(text: str) -> GraphFileData | None:
         ordered = np.sort(idx)
         if idx.size and (ordered[-1] >= limit or (ordered[1:] == ordered[:-1]).any()):
             return None
-        weight_lines.append((tuple(idx.tolist()), tuple(tails[code == kind].tolist())))
+        weight_lines.append((idx, tails[code == kind]))
     edges = code == _EDGE
     try:
         graph = build_graph(n, np.stack((heads[edges], tails[edges]), axis=1))
@@ -300,8 +305,7 @@ def _parse_graph_lines(text: str) -> GraphFileData:
         raise ParseError(header_line, str(exc)) from None
     if out_of_range is not None:
         raise out_of_range
-    vw, ew = weights["wv"], weights["we"]
-    return GraphFileData(graph, (tuple(vw), tuple(vw.values())), (tuple(ew), tuple(ew.values())))
+    return GraphFileData(graph, _line_arrays(weights["wv"]), _line_arrays(weights["we"]))
 
 
 def format_graph_file(graph: Graph, vertex_weights=None, edge_weights=None) -> str:
@@ -319,7 +323,10 @@ def parse_cell_text(text: str) -> tuple[str, list[tuple[int, int]]]:
     kind = None
     cells: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, fields in _significant_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
         rec = fields[0]
         if rec == "t":
             if kind is not None:
@@ -353,12 +360,10 @@ def format_coords_sidecar(coords, tags) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Blank and comment lines (up to a str.splitlines break), then the first field.
+_FIRST_FIELD = re.compile(r"(?:\s*#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*\s*(\S*)")
+
+
 def sniff_kind(text: str) -> str:
-    """'graph' or 'cells' by the first significant record."""
-    for _, fields in _significant_lines(text):
-        if fields[0] == "p":
-            return "graph"
-        if fields[0] == "t":
-            return "cells"
-        break
-    return "graph"
+    """'cells' if the first significant record is 't', else 'graph'; reads no further."""
+    return "cells" if _FIRST_FIELD.match(text)[1] == "t" else "graph"

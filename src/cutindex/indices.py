@@ -202,7 +202,7 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
     GraphError.  A quotient with n_q - 1 edges shows it in its tree pass;
     otherwise the first group's quotient pays one components call.
     """
-    from .treedp import _tree_sides  # at call time: treedp imports this module
+    from .treedp import _tree_sides, _vector  # at call time: treedp imports this module
 
     for i, group in enumerate(cp.groups):
         wq = quotient_by_edge_classes(g, theta, group)
@@ -213,7 +213,7 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
         tree = q.edge_count == q.vertex_count - 1
         if tree:
             try:
-                sides = _tree_sides(q, weights, wq.edge_weight)
+                sides = _tree_sides(q, _vector(weights), _vector(wq.edge_weight))
             except GraphError:
                 require_connected(g)  # raises: g is disconnected as q is
                 raise

@@ -35,7 +35,7 @@ from .core import (
 
 #: The isometry check compares label Hamming distances with the distance
 #: matrix in row blocks of at most this many (vertex pair, label word) cells.
-_HAMMING_BLOCK_CELLS = 1 << 20
+_HAMMING_BLOCK_CELLS = 1 << 16
 
 #: Theta* closure takes its members' cut vectors, and evaluates their relation
 #: rows, in blocks of at most this many (member, vertex or edge) cells.

@@ -7,7 +7,9 @@ other's reverse.  The Euler tour (Tarjan and Vishkin, SIAM J. Comput. 14
 and pointer jumping (Wyllie, 1979) ranks its L arcs in ceil(log2 L) rounds,
 whatever the tree's shape.  The earlier arc of an edge points to its child,
 and the side without vertex 0 is a difference of prefix sums of the weights
-in tour order.  The quadratic evaluators in indices are the oracle.
+in tour order.  Weights come as vectors, int64 or object arrays of Python
+numbers (tree-index reads them so from its file), and every total is exact.
+The quadratic evaluators in indices are the oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,21 @@ def require_tree_counts(g: Graph) -> None:
         raise GraphError(f"not a tree: {n} vertices but {g.edge_count} edges")
 
 
-def _tree_sides(g: Graph, w: tuple, w_edge: tuple | None):
+def _vector(values) -> np.ndarray:
+    """A weight tuple as int64 if its entries are ints below 2**63, else as Python numbers."""
+    if isinstance(sum(values), int) and max(values, default=0) < 2**63:  # ints alone sum to an int
+        return np.array(values, np.int64)
+    return np.array(values, object)
+
+
+def _exact_sum(v: np.ndarray):
+    """The sum of a weight vector, in int64 where len(v) * max(v) rules out a wrap."""
+    if v.dtype == np.int64 and len(v) * int(v.max(initial=0)) < 2**63:
+        return int(v.sum())
+    return sum(v.tolist())
+
+
+def _tree_sides(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
     """(side without vertex 0, other side, end farther from vertex 0) per edge of the tree g.
 
     Arrays in edge order; w_edge of None is unit weight.  The sides are int64
@@ -42,8 +58,8 @@ def _tree_sides(g: Graph, w: tuple, w_edge: tuple | None):
     """
     require_tree_counts(g)
     n, m = g.vertex_count, g.edge_count
-    total = sum(w)  # a sum of Python ints alone stays an int
-    load = m if w_edge is None else sum(w_edge)
+    total = _exact_sum(w)
+    load = m if w_edge is None else _exact_sum(w_edge)
     fits = isinstance(total + load, int) and total * total // 4 * max(m, load) < _INT64_SAFE
     dtype = np.int64 if fits else object
     if not m:
@@ -73,24 +89,24 @@ def _tree_sides(g: Graph, w: tuple, w_edge: tuple | None):
     child = np.where(forth > back, ends[:, 1], ends[:, 0])  # the earlier arc points down
     enter, leave = np.maximum(forth, back), np.minimum(forth, back)
     entered = np.zeros(2 * m, dtype)
-    entered[enter] = np.array(w, dtype)[child]
+    entered[enter] = w.astype(dtype, copy=False)[child]
     entered = np.cumsum(entered)
     side = entered[enter] - entered[leave]
     return side, total - side, child
 
 
-def _tree_sums(g: Graph, w: tuple, w_edge: tuple | None):
+def _tree_sums(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
     """(weighted Wiener, weighted Szeged) of the tree g, both range-checked."""
     side, rest, _ = _tree_sides(g, w, w_edge)
-    term = side * rest
-    sums = term.sum(), (term if w_edge is None else np.array(w_edge, term.dtype) * term).sum()
+    term = side * rest  # if int64, load is an int, so an object w_edge holds ints
+    sums = term.sum(), (term if w_edge is None else w_edge * term).sum()
     wiener, szeged = sums if term.dtype == object else map(int, sums)
     return check_u64(wiener, "weighted Wiener index"), check_u64(szeged, "weighted Szeged index")
 
 
 def tree_indices(t: VertexEdgeWeightedGraph):
     """(weighted Wiener, weighted Szeged) of a tree from one array pass."""
-    return _tree_sums(t.graph, t.w, t.w_edge)
+    return _tree_sums(t.graph, _vector(t.w), _vector(t.w_edge))
 
 
 def wiener_tree_linear(t: VertexWeightedGraph):
@@ -98,7 +114,7 @@ def wiener_tree_linear(t: VertexWeightedGraph):
 
     One array pass; equals the quadratic weighted definition.
     """
-    return _tree_sums(t.graph, t.w, None)[0]
+    return _tree_sums(t.graph, _vector(t.w), None)[0]
 
 
 def szeged_tree_linear(t: VertexEdgeWeightedGraph):
@@ -115,5 +131,5 @@ def tree_cut_rows(t: VertexEdgeWeightedGraph) -> list[CutRow]:
 
     The same pass as the evaluators, ordered by edge index.
     """
-    side, rest, _ = _tree_sides(t.graph, t.w, t.w_edge)
+    side, rest, _ = _tree_sides(t.graph, _vector(t.w), _vector(t.w_edge))
     return list(map(CutRow, range(t.graph.edge_count), t.w_edge, side.tolist(), rest.tolist()))

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import cutindex as ci
+from cutindex import files, treedp
 from cutindex.cli import main
-from cutindex.files import parse_graph_text
-from helpers import run_under_1gib
+from cutindex.files import format_graph_file, parse_graph_text
+from helpers import random_tree, run_under_1gib
 
 C4 = "p 4 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
 C5 = "p 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 0\n"
@@ -661,6 +662,90 @@ def test_tree_index_shuffled_long_path(tmp_path, capsys):
     assert _lines(capsys) == [f"wiener={expected}", f"szeged={expected}"]
 
 
+def _regime_weight(rng, regime):
+    """A weight of one regime: 0 or a digit, or now and then an 18- or 19-digit number."""
+    if regime == "zero" or rng.random() < 0.75:
+        return rng.choice((0, 0, 1, rng.randint(2, 9)))
+    digits = 18 if regime == "18 digits" else 19
+    return rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def _expected_tree_index(t):
+    """(exit code, stdout, stderr) of tree-index by the quadratic oracle."""
+    try:
+        wiener, szeged = ci.wiener_weighted(t), ci.szeged_weighted(t)
+    except ci.IndexOverflowError as exc:
+        return 4, "", f"error: {exc}\n"
+    return 0, f"wiener={wiener}\nszeged={szeged}\n", ""
+
+
+@pytest.mark.parametrize("regime", ["zero", "18 digits", "19 digits"])
+def test_tree_index_equals_tree_indices_and_oracle_on_both_parsers(tmp_path, capsys, regime):
+    # Weight files of random trees, read by the array parser as written and by
+    # the line parser behind a comment; 19-digit numbers leave the array
+    # parser, and those past int64 reach the pass as Python ints.
+    rng = random.Random(regime)
+    codes, past_int64 = set(), 0
+    for case in range(40):
+        g = random_tree(rng, rng.randint(1, 25))
+        w = tuple(_regime_weight(rng, regime) for _ in range(g.vertex_count))
+        w_edge = tuple(_regime_weight(rng, regime) for _ in range(g.edge_count))
+        t = ci.VertexEdgeWeightedGraph(g, w, w_edge)
+        expected = _expected_tree_index(t)
+        try:
+            wiener, szeged = ci.tree_indices(t)
+        except ci.IndexOverflowError as exc:
+            assert (4, "", f"error: {exc}\n") == expected
+        else:
+            assert (0, f"wiener={wiener}\nszeged={szeged}\n", "") == expected
+        text = format_graph_file(g, w, w_edge)
+        is_long = any(x >= 10**18 for x in w + w_edge)
+        assert (files._parse_graph_arrays(text) is None) == is_long
+        for name, body in (("plain", text), ("commented", "# line parser\n" + text)):
+            rc = main(["tree-index", _write(tmp_path, f"{case}-{name}.graph", body)])
+            assert (rc, *capsys.readouterr()) == expected, (regime, case, name)
+        codes.add(expected[0])
+        past_int64 += max(w + w_edge) >= 2**63
+    assert codes == ({0} if regime == "zero" else {0, 4})
+    assert (past_int64 > 0) == (regime == "19 digits")
+
+
+@pytest.mark.parametrize(
+    "text,code,out,err",
+    [
+        ("p 2 1\ne 0 1\nwv 0 4000000000\nwv 1 4000000000\n", 0,
+         "wiener=16000000000000000000\nszeged=16000000000000000000\n", ""),
+        ("p 3 2\ne 0 1\ne 1 2\nwv 0 999999999999999999\nwe 1 999999999999999999\n", 4, "",
+         "error: weighted Szeged index 1000000000000000000999999999999999998"
+         " exceeds unsigned 64-bit range\n"),
+        # zero vertex weights and an edge weight past int64: the int64 pass
+        # leaves the edge weights as Python ints
+        ("p 2 1\ne 0 1\nwv 0 0\nwv 1 0\nwe 0 99999999999999999999\n", 0,
+         "wiener=0\nszeged=0\n", ""),
+    ],
+    ids=["past-int64", "szeged-overflow", "huge-edge-weight"],
+)
+def test_tree_index_pinned_weights(tmp_path, capsys, text, code, out, err):
+    for name, body in (("plain", text), ("commented", "#\n" + text)):
+        assert main(["tree-index", _write(tmp_path, f"{name}.graph", body)]) == code
+        assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("comment", ["", "# line parser\n"], ids=["array-parser", "line-parser"])
+def test_tree_index_builds_no_weight_tuples(tmp_path, monkeypatch, comment):
+    parsed = []
+
+    def spy(text):
+        parsed.append(parse_graph_text(text))
+        return parsed[-1]
+
+    monkeypatch.setattr("cutindex.cli.parse_graph_text", spy)
+    assert main(["tree-index", _write(tmp_path, "gf1.graph", comment + GF1)]) == 0
+    assert len(parsed) == 1
+    assert "vertex_weights" not in parsed[0].__dict__
+    assert "edge_weights" not in parsed[0].__dict__
+
+
 def test_tree_passes_never_build_adjacency(tmp_path, monkeypatch):
     t = ci.VertexEdgeWeightedGraph(ci.build_graph(4, [(0, 1), (1, 2), (1, 3)]), (1, 2, 3, 4), (5, 6, 7))
     ci.tree_cut_rows(t)
@@ -668,11 +753,11 @@ def test_tree_passes_never_build_adjacency(tmp_path, monkeypatch):
 
     seen = []
 
-    def spy(weighted):
-        seen.append(weighted.graph)
-        return ci.tree_indices(weighted)
+    def spy(g, w, w_edge):
+        seen.append(g)
+        return treedp._tree_sums(g, w, w_edge)
 
-    monkeypatch.setattr("cutindex.cli.tree_indices", spy)
+    monkeypatch.setattr("cutindex.cli._tree_sums", spy)
     assert main(["tree-index", _write(tmp_path, "gf1.graph", GF1)]) == 0
     assert len(seen) == 1 and "adjacency" not in seen[0].__dict__
 

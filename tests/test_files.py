@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutindex as ci
 from cutindex.files import (
@@ -124,6 +127,34 @@ def test_sniff_kind():
     assert sniff_kind("# hi\nt c4c8\nc 0 0\n") == "cells"
 
 
+def _sniff_by_lines(text):
+    """sniff_kind as it was defined, over every line of the text."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            return "graph"
+        if fields[0] == "t":
+            return "cells"
+        break
+    return "graph"
+
+
+# Every str.splitlines break, whitespace that is no break, and record letters.
+_SNIFF_PIECES = list("pt#x ") + [
+    "\n", "\r", "\r\n", "\t", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2028", "\u2029", "\u3000", "# c\n", "t c4c8", "p 1 0",
+]
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(_SNIFF_PIECES), max_size=16).map("".join))
+def test_sniff_kind_equals_the_line_definition(text):
+    assert sniff_kind(text) == _sniff_by_lines(text)
+
+
 def test_sidecar_format():
     text = format_coords_sidecar(((0, 1), (2, 3)), ("H", "V"))
     assert text == "v 0 0 1\nv 1 2 3\nd 0 H\nd 1 V\n"
@@ -134,6 +165,21 @@ def test_array_path_builds_no_edge_tuples():
     assert "edges" not in data.graph.__dict__
     assert data.graph.ends.tolist() == [[0, 1], [1, 2]]
     assert data.vertex_weights == (1, 1, 5) and data.edge_weights == (4, 1)
+
+
+def test_weight_lines_stay_arrays_on_both_parsers():
+    for text in ("p 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n", "# c\np 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n"):
+        data = parse_graph_text(text)
+        w, w_edge = data.weight_vectors()
+        assert w.dtype == w_edge.dtype == np.int64
+        assert (w.tolist(), w_edge.tolist()) == ([1, 1, 5], [4, 1])
+    # past int64, the line parser keeps that kind's weights as Python ints
+    big = 2**63
+    data = parse_graph_text(f"p 2 1\ne 0 1\nwv 1 {big}\nwe 0 {big - 1}\n")
+    w, w_edge = data.weight_vectors()
+    assert w.dtype == object and w.tolist() == [1, big]
+    assert w_edge.dtype == np.int64 and w_edge.tolist() == [big - 1]
+    assert data.vertex_weights == (1, big) and data.vertex_weight_lines == ((1,), (big,))
 
 
 def test_huge_header_keeps_weights_sparse():

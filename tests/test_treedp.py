@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import cutindex as ci
+from cutindex import treedp
 from helpers import (
     cycle,
     path,
@@ -262,3 +264,20 @@ def test_sums_exact_at_the_int64_bound(step):
     rows = tree_rows_by_bfs(t)
     assert ci.tree_cut_rows(t) == rows
     assert ci.tree_indices(t) == ci.indices_from_rows(rows)
+
+
+def test_edge_weights_past_int64_with_zero_vertex_weights():
+    # The sides are int64 (all 0); the edge weights stay Python ints.
+    g = random_tree(random.Random(73), 20)
+    t = ci.VertexEdgeWeightedGraph(g, [0] * 20, [2**70 + k for k in range(19)])
+    assert ci.tree_indices(t) == (0, 0)
+    assert ci.tree_cut_rows(t) == tree_rows_by_bfs(t)
+
+
+@pytest.mark.parametrize(
+    "values", [[2**61] * 3, [2**61] * 4, [2**62, 2**62 - 1], [2**63 - 1], [], [0, 2**63 - 1]]
+)
+def test_exact_sum_on_both_sides_of_the_int64_bound(values):
+    v = np.array(values, np.int64)
+    assert treedp._exact_sum(v) == sum(values)
+    assert treedp._exact_sum(v.astype(object)) == sum(values)
