@@ -8,6 +8,7 @@ Brute-force evaluators from the definitions are kept alongside as oracles.
 """
 
 from .chem import (
+    DIRECTIONS,
     BenzenoidSpec,
     C4C8Spec,
     build_benzenoid,
@@ -66,6 +67,7 @@ from .theta import (
 from .treedp import szeged_tree_linear, tree_cut_rows, tree_indices, wiener_tree_linear
 
 __all__ = [
+    "DIRECTIONS",
     "BenzenoidSpec",
     "C4C8Spec",
     "CoarserPartition",

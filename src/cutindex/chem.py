@@ -24,23 +24,32 @@ opposite sides, and the components of those pairs, found by the components
 kernel, are the edge classes: no distance matrix, and nothing above O(cells)
 but the two sorts.
 
-Every edge gets a direction tag from its displacement: H, V, D+ or D- for
-C4C8 (three of these for benzenoids).  Grouping the edge classes by tag gives
-the direction partition, whose quotients are trees for both kinds (for
+Every edge gets a direction tag from the signs of its displacement: H, V,
+D+ or D- for C4C8 (three of these for benzenoids).  The constructions hand
+the tags out as an int8 array of codes, DIRECTIONS naming each code, so no
+per-edge string is made.  Grouping the edge classes by tag gives the
+direction partition, whose quotients are trees for both kinds (for
 benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), and
 c4c8_report reads it with partition_rows' reader: one tree pass each, O(n).
+
+A spec takes its cells as an (n, 2) int64 array, as a plain cell file
+parses, and keys them without a per-cell Python object; any other
+iterable of pairs is read pair by pair (operator.index, so coordinates of
+any size) into the frozenset that spec.cells always is, built from an
+array on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from operator import index
 
 import numpy as np
 
 from .core import Graph, GraphError, _components, build_graph
 from .indices import CutRow, _quotient_cuts, indices_from_rows, partition_rows
-from .quotient import CoarserPartition, validate_coarser
+from .quotient import CoarserPartition
 from .theta import ThetaPartition
 
 OCTAGON_OFFSETS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
@@ -51,6 +60,9 @@ _SQUARE_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _SQUARE_COMPLEMENT = _SQUARE_NEIGHBORS + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _HEX_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
+#: The name of each direction code: tags[k] is edge k's code, DIRECTIONS[tags[k]] its name.
+DIRECTIONS = ("H", "V", "D+", "D-")
+
 
 def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
     """Direction of the segment p-q: H, V, D+ (slope +1) or D- (slope -1)."""
@@ -60,6 +72,15 @@ def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
     if dx == 0:
         return "V"
     return "D+" if dx * dy > 0 else "D-"
+
+
+def _direction_codes(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The DIRECTIONS code of each displacement, as direction_tag names it."""
+    code = np.full(len(dx), DIRECTIONS.index("D-"), dtype=np.int8)
+    code[(dx > 0) == (dy > 0)] = DIRECTIONS.index("D+")
+    code[dx == 0] = DIRECTIONS.index("V")
+    code[dy == 0] = DIRECTIONS.index("H")
+    return code
 
 
 def _find(keys, target) -> np.ndarray:
@@ -77,30 +98,75 @@ def _cell_components(keys, width: int, offsets) -> np.ndarray:
     return _components(len(keys), ends)[0]
 
 
+#: Array cells stay within this bound, so their offsets from the first cell fit int64.
+_ARRAY_CELL_BOUND = 2**62
+
+
+def _is_cell_array(cells) -> bool:
+    """Whether cells is a nonempty (n, 2) integer array the array path can key."""
+    return (
+        isinstance(cells, np.ndarray)
+        and cells.dtype.kind in "iu"
+        and cells.ndim == 2
+        and cells.shape[1] == 2
+        and len(cells) > 0
+        and -_ARRAY_CELL_BOUND < cells.min()
+        and cells.max() < _ARRAY_CELL_BOUND
+    )
+
+
+def _cell_tuples(cells) -> frozenset[tuple[int, int]]:
+    """The cells of an (n, 2) integer array as a frozenset of Python-int pairs."""
+    return frozenset(zip(*cells.T.tolist()))
+
+
+def _near_offsets(cells, n: int):
+    """The first cell, and the offsets from it of the cells fewer than n rows and columns off.
+
+    cells is an array (see _is_cell_array) or a set of int pairs; the
+    offsets come back as int64 row and column arrays.
+    """
+    if isinstance(cells, np.ndarray):
+        rows, cols = cells.T
+        si = rows.min()
+        sj = cols[rows == si].min()
+        rows, cols = rows - si, cols - sj
+        near = (rows < n) & (np.abs(cols) < n)
+        return (int(si), int(sj)), rows[near], cols[near]
+    start = si, sj = min(cells)
+    near = [(i - si, j - sj) for i, j in cells if i - si < n and abs(j - sj) < n]
+    rows, cols = np.array(near, dtype=np.int64).reshape(-1, 2).T
+    return start, rows, cols
+
+
 def _check_cells(cells, neighbors, complement, faces, kind: str):
     """Require a nonempty, connected cell set without enclosed holes.
 
-    Keys run in (i, j) order, and the kernel gives the first key label 0.
-    Only cells fewer than n rows and columns from the first cell can be
-    reached from it, so only they are keyed, as small offsets from it.  A
-    connected set has no hole iff its Euler characteristic, cells minus
-    adjacent pairs plus faces (cells with every offset of a face present),
-    is 1; that takes O(n log n) work whatever the set's extent.  Only a set
-    with a hole pays for naming it: a hole is an empty cell of the bordered
-    bounding box off the border's component; keys wrapping past a row end
-    join border cells only.  Returns the cell grid: the first cell, every
-    cell relative to it as an (n, 2) int64 array in key order, and each
-    face's mask over them (for C4C8 the full 2 x 2 blocks, one per square).
+    cells is a set of int pairs or an array of them (see _is_cell_array),
+    where a cell listed twice counts once.  Keys run in (i, j) order, and
+    the kernel gives the first key label 0.  Only cells fewer than n rows
+    and columns from the first cell can be reached from it, so only they
+    are keyed, as small offsets from it.  A connected set has no hole iff
+    its Euler characteristic, cells minus adjacent pairs plus faces (cells
+    with every offset of a face present), is 1; that takes O(n log n) work
+    whatever the set's extent.  Only a set with a hole pays for naming it: a
+    hole is an empty cell of the bordered bounding box off the border's
+    component; keys wrapping past a row end join border cells only.
+    Returns the cell grid: the first cell, every cell relative to it as an
+    (n, 2) int64 array in key order, and each face's mask over them (for
+    C4C8 the full 2 x 2 blocks, one per square).
     """
-    if not cells:
+    if not len(cells):
         raise GraphError(f"{kind} system needs at least one cell")
     n, w = len(cells), 2 * len(cells) + 1
-    start = si, sj = min(cells)
-    keys = np.sort([(i - si) * w + j - sj + n for i, j in cells if i - si < n and abs(j - sj) < n])
+    start, di, dj = _near_offsets(cells, n)
+    keys = np.unique(di * w + dj + n)
     reach = _cell_components(keys, w, neighbors) == 0
-    if len(keys) < n or not reach.all():
+    if len(di) < n or not reach.all():
+        si, sj = start
         seen = {(si + k // w, sj + k % w - n) for k in keys[reach].tolist()}
-        raise GraphError(f"disconnected cells: {min(cells - seen)} unreachable from {start}")
+        every = _cell_tuples(cells) if isinstance(cells, np.ndarray) else cells
+        raise GraphError(f"disconnected cells: {min(every - seen)} unreachable from {start}")
 
     def present(di, dj):
         return _find(keys, keys + di * w + dj) >= 0
@@ -108,7 +174,7 @@ def _check_cells(cells, neighbors, complement, faces, kind: str):
     pairs = sum(np.count_nonzero(present(*o)) for o in neighbors if o > (0, 0))  # each once
     masks = [np.all([present(*o) for o in face], axis=0) for face in faces]
     rows, cols = np.divmod(keys, w)
-    if n - pairs + sum(np.count_nonzero(m) for m in masks) == 1:
+    if len(keys) - pairs + sum(np.count_nonzero(m) for m in masks) == 1:
         return start, np.stack([rows, cols - n], axis=1), masks
     lo, width = int(cols.min()) - 1, int(cols.max() - cols.min()) + 3
     box = np.arange((int(rows[-1]) + 3) * width)
@@ -116,21 +182,53 @@ def _check_cells(cells, neighbors, complement, faces, kind: str):
     outside = _cell_components(free, width, complement) == 0
     if not outside.all():
         r, c = divmod(int(free[outside.argmin()]), width)
+        si, sj = start
         hole = (si + r - 1, sj + lo + c - n)
         raise GraphError(f"cell set encloses a hole at {hole}; not a bounded system")
 
 
-@dataclass(frozen=True)
 class _CellSpec:
-    """A validated cell set; subclasses give the net and its bounded faces."""
+    """A validated cell set; subclasses give the net and its bounded faces.
 
-    cells: frozenset[tuple[int, int]]
+    An integer array of (i, j) rows (see _is_cell_array) is kept as a
+    read-only int64 copy and keyed as it is; any other iterable of pairs is
+    read by operator.index, so a float or a string coordinate is a
+    TypeError.  Cells listed twice count once.  cells, a frozenset of
+    Python-int pairs, is derived from an array on first use; ==, hash and
+    repr go by it.  Instances are immutable.
+    """
 
     def __init__(self, cells):
-        cells = frozenset((index(i), index(j)) for i, j in cells)
+        if _is_cell_array(cells):
+            cells = np.array(cells, dtype=np.int64)
+            cells.flags.writeable = False
+            self.__dict__["_array"] = cells
+        else:
+            cells = frozenset((index(i), index(j)) for i, j in cells)
+            self.__dict__["cells"] = cells
         grid = _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_grid", grid)  # no field: ==, hash and repr go by cells
+        self.__dict__["_grid"] = grid
+
+    @cached_property
+    def cells(self) -> frozenset[tuple[int, int]]:
+        return _cell_tuples(self._array)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self):
+        return hash((self.cells,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(cells={self.cells!r})"
 
 
 class C4C8Spec(_CellSpec):
@@ -158,17 +256,12 @@ class BenzenoidSpec(_CellSpec):
 
 
 def _assemble(spec):
-    """Graph, direction tags, opposite-side pairs, origin and corners relative to it."""
+    """Graph, direction codes, opposite-side pairs, origin and corners relative to it."""
     origin, groups = spec.faces()
     points, edges, pairs = _face_join(groups)
     x, y = points.T
     u, v = edges.T
-    dx, dy = x[v] - x[u], y[v] - y[u]
-    span = 2 * int(np.abs(dy).max(initial=0)) + 1
-    _, first, step_of = np.unique(dx * span + dy, return_index=True, return_inverse=True)
-    steps = zip(dx[first].tolist(), dy[first].tolist())
-    names = np.array([direction_tag((0, 0), step) for step in steps])
-    tags = tuple(names[step_of].tolist())
+    tags = _direction_codes(x[v] - x[u], y[v] - y[u])
     g = build_graph(len(points), edges)
     return g, tags, pairs, origin, points
 
@@ -207,18 +300,18 @@ def _face_join(groups):
 
 
 def _build(spec):
-    """Graph, direction tags and vertex coordinates of a cell system."""
+    """Graph, direction codes and vertex coordinates of a cell system."""
     g, tags, _, (ox, oy), points = _assemble(spec)
     return g, tags, tuple((x + ox, y + oy) for x, y in points.tolist())
 
 
 def build_c4c8(spec: C4C8Spec):
-    """Graph, per-edge direction tags and vertex coordinates of a C4C8 system."""
+    """Graph, per-edge direction codes (see DIRECTIONS) and vertex coordinates of a C4C8 system."""
     return _build(spec)
 
 
 def build_benzenoid(spec: BenzenoidSpec):
-    """Graph, per-edge direction tags and vertex coordinates of a benzenoid."""
+    """Graph, per-edge direction codes (see DIRECTIONS) and vertex coordinates of a benzenoid."""
     return _build(spec)
 
 
@@ -238,9 +331,10 @@ def c4c8_cut_classes(edge_count: int, pairs) -> tuple[np.ndarray, int]:
 def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
     """A C4C8 or benzenoid system with its geometric edge-class partition.
 
-    Returns (graph, tags, theta); theta equals theta_star_classes of the
-    graph, found without a distance matrix.  build_c4c8 and build_benzenoid
-    give the same graph and tags with vertex coordinates.
+    Returns (graph, tags, theta): tags holds each edge's DIRECTIONS code as
+    an int8 array, and theta equals theta_star_classes of the graph, found
+    without a distance matrix.  build_c4c8 and build_benzenoid give the same
+    graph and tags with vertex coordinates.
     """
     g, tags, pairs, _, _ = _assemble(spec)
     return g, tags, ThetaPartition._from_labels(*c4c8_cut_classes(g.edge_count, pairs))
@@ -249,22 +343,33 @@ def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
 def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartition:
     """Group edge classes by direction tag.
 
-    Every class must be direction-pure (all its edges share one tag); a mixed
-    class means the input was not generated by this module's constructions.
+    tags holds one tag per edge: an integer array of DIRECTIONS codes, as
+    the constructions give, or any sequence of tag names.  Every class must
+    be direction-pure (all its edges share one tag); a mixed class means the
+    input was not generated by this module's constructions.  A class is pure
+    when its smallest and largest codes agree, read off theta's grouping.
     Groups are ordered by smallest contained class index.
     """
     if len(tags) != g.edge_count:
         raise GraphError("one direction tag per edge required")
-    by_tag: dict[str, list[int]] = {}
-    for j, cls in enumerate(theta.classes):
-        seen = {tags[k] for k in cls}
-        if len(seen) != 1:
-            raise GraphError(
-                f"class {j} mixes directions {sorted(seen)}; not an elementary cut"
-            )
-        by_tag.setdefault(seen.pop(), []).append(j)
-    groups = sorted(by_tag.values(), key=lambda js: js[0])
-    return validate_coarser(theta, groups)
+    if isinstance(tags, np.ndarray) and tags.dtype.kind in "iu":
+        names, codes = DIRECTIONS, tags
+    else:
+        names, codes = np.unique(np.asarray(tags), return_inverse=True)
+        names = names.tolist()
+    if not theta.class_count:
+        return CoarserPartition(())
+    by_class = codes[theta.order]
+    starts = theta.bounds[:-1]
+    code = np.minimum.reduceat(by_class, starts)
+    mixed = np.flatnonzero(code != np.maximum.reduceat(by_class, starts))
+    if len(mixed):
+        j = int(mixed[0])
+        seen = sorted({names[c] for c in by_class[theta.bounds[j] : theta.bounds[j + 1]].tolist()})
+        raise GraphError(f"class {j} mixes directions {seen}; not an elementary cut")
+    classes = np.argsort(code, kind="stable")
+    groups = np.split(classes, np.flatnonzero(np.diff(code[classes])) + 1)
+    return CoarserPartition(tuple(sorted(tuple(js.tolist()) for js in groups)))
 
 
 def c4c8_report(spec: C4C8Spec | BenzenoidSpec):

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .chem import BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report
+from .chem import DIRECTIONS, BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report
 from .core import GraphError, IndexOverflowError, distance_matrix
 from .files import (
     ParseError,
@@ -225,7 +225,7 @@ def cmd_generate(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_graph_file(g))
     with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(format_coords_sidecar(coords, tags))
+        fh.write(format_coords_sidecar(coords, [DIRECTIONS[code] for code in tags.tolist()]))
     print(f"graph_file={args.out}")
     print(f"sidecar={sidecar}")
     return 0

@@ -420,10 +420,11 @@ def _components(n: int, ends: np.ndarray) -> tuple[np.ndarray, int, int]:
 def component_labels(g: Graph, removed) -> tuple[np.ndarray, int]:
     """Per-vertex component label for g minus the given edges, plus the count.
 
-    removed holds edge indices of g.  Labels are an int64 array in the same
-    smallest-vertex-first order as components_after_removal.
+    removed holds edge indices of g, as an integer array or any iterable.
+    Labels are an int64 array in the same smallest-vertex-first order as
+    components_after_removal.
     """
     keep = np.ones(g.edge_count, dtype=bool)
-    keep[np.fromiter(removed, dtype=np.intp)] = False
+    keep[removed if isinstance(removed, np.ndarray) else np.fromiter(removed, dtype=np.intp)] = False
     comp, count, _ = _components(g.vertex_count, g.ends[keep])
     return comp, count

@@ -16,12 +16,16 @@ Cell files:
 A plain graph file (ASCII, header first, then only e/wv/we records, single
 spaces, LF line ends, numbers of at most 18 digits) is read by one NumPy
 pass over its bytes, which hands build_graph an (m, 2) int64 edge array and
-builds no per-edge tuple (_parse_graph_arrays).  Anything else, and any
-plain file with a fault, goes to the line-by-line parser, which owns every
-ParseError: its texts and line numbers are the same whichever path a file
-would have taken.  Both keep the weight lines as arrays, and GraphFileData
-scatters them into one int64 vector per kind (Python ints only for a kind
-with a weight past int64), so tree-index builds no per-vertex object.
+builds no per-edge tuple (_parse_graph_arrays).  A plain cell file (its type
+line first, then only 'c <i> <j>' lines, single spaces, LF line ends,
+coordinates of at most 18 digits, a '-' allowed before each, no cell twice)
+is read the same way into an (n, 2) int64 cell array (_parse_cell_arrays).
+Anything else, and any plain file with a fault, goes to the line-by-line
+parser of its kind, which owns every ParseError: its texts and line numbers
+are the same whichever path a file would have taken.  Both graph parsers
+keep the weight lines as arrays, and GraphFileData scatters them into one
+int64 vector per kind (Python ints only for a kind with a weight past
+int64), so tree-index builds no per-vertex object.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class GraphFileData:
 
     The weight lines are kept as read, an int64 (indices, weights) array
     pair per kind; weights are Python ints in an object array if one passes
-    int64.  The dense vectors (weight 1 where no line gives one) and the
+    int64.  The dense vectors (weight 1 where no line gives one) and their
     tuple views are built on request: a header may declare far more vertices
     than the file has lines.  Equality and hash go by the graph and the
     dense weights, so the order of the lines and lines that give weight 1
@@ -94,10 +98,6 @@ class GraphFileData:
         """(vertex weights, edge weights) as vectors of the lines' dtypes."""
         g = self.graph
         return _dense(g.vertex_count, self.vertex_lines), _dense(g.edge_count, self.edge_lines)
-
-    @cached_property
-    def vertex_weight_lines(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(tuple(column.tolist()) for column in self.vertex_lines)
 
     @cached_property
     def vertex_weights(self) -> tuple[int, ...]:
@@ -183,8 +183,16 @@ def _plain_records(text: str):
     if (code < 0).any():
         return None
 
-    # Column c holds each run's digit c places from the right, or 0 where
-    # the run is shorter; its place value is one scalar.
+    values = _run_values(b, stops, width)
+    return values[0::2], values[1::2], code
+
+
+def _run_values(b: np.ndarray, stops: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The int64 value of each digit run of b, given its stop and its width.
+
+    Column c holds each run's digit c places from the right, or 0 where the
+    run is shorter; its place value is one scalar.
+    """
     values = np.zeros(len(stops), dtype=np.int64)
     term = np.empty_like(values)
     at = stops - 1
@@ -194,7 +202,7 @@ def _plain_records(text: str):
         digits *= width > column
         values += np.multiply(digits, np.int64(10**column), out=term)
         at -= 1
-    return values[0::2], values[1::2], code
+    return values
 
 
 def _parse_graph_arrays(text: str) -> GraphFileData | None:
@@ -319,7 +327,80 @@ def format_graph_file(graph: Graph, vertex_weights=None, edge_weights=None) -> s
     return "\n".join(lines) + "\n"
 
 
-def parse_cell_text(text: str) -> tuple[str, list[tuple[int, int]]]:
+def parse_cell_text(text: str) -> tuple[str, np.ndarray | list[tuple[int, int]]]:
+    """Parse a cell file into (kind, cells).
+
+    A plain file (see _parse_cell_arrays) gives its cells as a read-only
+    (n, 2) int64 array, in file order; any other file goes to the line
+    parser, which gives a list of (i, j) int tuples and owns every ParseError.
+    """
+    parsed = _parse_cell_arrays(text)
+    return parsed if parsed is not None else _parse_cell_lines(text)
+
+
+_CELL_KINDS = {b"t c4c8": "c4c8", b"t benzenoid": "benzenoid"}
+_C, _MINUS = b"c-"
+
+
+def _parse_cell_arrays(text: str) -> tuple[str, np.ndarray] | None:
+    """(kind, cells) of a plain cell file, or None.
+
+    A plain cell file is ASCII; its first line is 't c4c8' or 't benzenoid'
+    and every later line 'c <i> <j>', with single spaces, an optional '-'
+    before each coordinate, an LF at the end of every line, at most
+    _ARRAY_MAX_DIGITS digits per coordinate and at least one cell.  The
+    body is read as one byte array, as _plain_records reads a graph file;
+    a file that repeats a cell is left to the line parser, which names it.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    head, _, body = raw.partition(b"\n")
+    kind = _CELL_KINDS.get(head)
+    if kind is None or not (body.startswith(b"c") and body.endswith(b"\n")):
+        return None
+    b = np.frombuffer(body, dtype=np.uint8)
+
+    # As in _plain_records, the flips alternate run start, run stop, and a
+    # plain line holds two runs, the second ending at its newline.  Before
+    # the first come 'c', a space and maybe '-'; between the two, a space
+    # and maybe '-'.
+    flips = np.flatnonzero(np.diff(b - np.uint8(48) < 10))
+    flips += 1
+    newlines = np.flatnonzero(b == _NEWLINE)
+    if len(flips) != 4 * len(newlines):
+        return None
+    starts, stops = flips[0::2], flips[1::2]
+    width = stops - starts
+    s0, e0, s1, e1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
+    line_starts = np.concatenate(([0], newlines[:-1] + 1))
+    minus0 = s0 - line_starts == 3
+    minus1 = s1 - e0 == 2
+    if not (
+        np.array_equal(e1, newlines)
+        and (b[line_starts] == _C).all()
+        and (b[line_starts + 1] == _SPACE).all()
+        and (minus0 | (s0 - line_starts == 2)).all()
+        and (b[s0[minus0] - 1] == _MINUS).all()
+        and (minus1 | (s1 - e0 == 1)).all()
+        and (b[e0] == _SPACE).all()
+        and (b[s1[minus1] - 1] == _MINUS).all()
+        and width.max() <= _ARRAY_MAX_DIGITS
+    ):
+        return None
+    values = _run_values(b, stops, width).reshape(-1, 2)
+    values[minus0, 0] *= -1
+    values[minus1, 1] *= -1
+    ordered = values[np.lexsort(values.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        return None
+    values.flags.writeable = False
+    return kind, values
+
+
+def _parse_cell_lines(text: str) -> tuple[str, list[tuple[int, int]]]:
+    """The line-by-line parse: any cell file, and the one source of its ParseErrors."""
     kind = None
     cells: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

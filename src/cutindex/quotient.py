@@ -97,9 +97,14 @@ def quotient_by_edge_classes(g: Graph, theta: ThetaPartition, class_indices) -> 
     if len(set(class_indices)) != len(class_indices):
         repeated = next(j for j in class_indices if class_indices.count(j) > 1)
         raise GraphError(f"class {repeated} listed twice in the group")
+    for j in class_indices:
+        if not 0 <= j < theta.class_count:
+            raise GraphError(f"class index {j} out of range [0,{theta.class_count})")
 
-    sizes = [len(theta.classes[j]) for j in class_indices]
-    f_edges = [k for j in class_indices for k in theta.classes[j]]
+    # The group's edges, class by class: each class's run of theta.order.
+    runs = [theta.order[theta.bounds[j] : theta.bounds[j + 1]] for j in class_indices]
+    f_edges = np.concatenate(runs) if runs else theta.order[:0]
+    sizes = np.array(list(map(len, runs)), dtype=np.int64)
     comp, count = component_labels(g, f_edges)
 
     a, b = comp[g.ends[f_edges]].T
@@ -123,27 +128,25 @@ def quotient_by_edge_classes(g: Graph, theta: ThetaPartition, class_indices) -> 
     first = np.flatnonzero(new)
     multiplicity = np.diff(first, append=len(pair))
     last = first + multiplicity - 1
-    edges, edge_class = [], []
-    for key, i, i_last in zip(pair[first].tolist(), cls[first].tolist(), cls[last].tolist()):
-        if i != i_last:
-            f = len(edges)
-            run = cls[first[f] : last[f] + 1].tolist()
-            raise GraphError(
-                f"quotient edge {f} represents original classes"
-                f" {sorted({class_indices[x] for x in run})}; expected exactly one"
-            )
-        edges.append(divmod(key, count))
-        edge_class.append(class_indices[i])
+    split = np.flatnonzero(cls[first] != cls[last])
+    if len(split):
+        f = int(split[0])
+        run = cls[first[f] : last[f] + 1].tolist()
+        raise GraphError(
+            f"quotient edge {f} represents original classes"
+            f" {sorted({class_indices[x] for x in run})}; expected exactly one"
+        )
 
     weights = np.bincount(comp, minlength=count).tolist()
-    quotient = build_graph(count, edges)
-    anchors = {j: int(comp[min(g.ends[theta.classes[j][0]].tolist())]) for j in class_indices}
+    quotient = build_graph(count, np.stack(np.divmod(pair[first], count), axis=1))
+    heads = f_edges[np.cumsum(sizes) - sizes]  # each class's smallest edge
+    anchors = comp[g.ends[heads].min(axis=1)].tolist()
     return WeightedQuotient(
         quotient=quotient,
         vertex_weight=tuple(weights),
         edge_weight=tuple(multiplicity.tolist()),
-        edge_class=tuple(edge_class),
-        class_anchors=anchors,
+        edge_class=tuple(np.array(class_indices, dtype=np.int64)[cls[first]].tolist()),
+        class_anchors=dict(zip(class_indices, anchors)),
     )
 
 

@@ -16,11 +16,16 @@ coordinate per class, and verify exhaustively with a row-blocked array
 comparison that Hamming distance of the coordinates equals graph distance
 for every vertex pair.  Acceptance therefore comes with a fully checked
 hypercube embedding, and rejection with a machine-checkable witness.
+
+Classes come back as a ThetaPartition: a label array and one stable-argsort
+grouping of it, which quotients and the direction partition read as
+arrays; the tuple views are derived only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,20 +54,48 @@ def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bo
     return int(d[u1, u2]) + int(d[v1, v2]) != int(d[u1, v2]) + int(d[v1, u2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ThetaPartition:
     """Edge partition into transitive-closure classes.
 
-    classes are sorted edge-index tuples, ordered by smallest contained edge
-    index; class_of maps edge index -> class index.
+    Classes are numbered in order of their smallest edge index.  The store
+    is three read-only int64 arrays: labels[k] is edge k's class, order
+    lists the edges class by class (a stable argsort of labels, so each
+    class's edges ascend), and class j is order[bounds[j]:bounds[j + 1]].
+    classes (sorted edge-index tuples) and class_of (labels as a tuple) are
+    derived on first use, so a pass that reads only the arrays builds no
+    per-edge tuple.  ==, hash and repr go by classes and class_of, as built
+    by from_classes or _from_labels.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    labels: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.bounds) - 1
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        order, bounds = self.order.tolist(), self.bounds.tolist()
+        return tuple(tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        return tuple(self.labels.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the numbering is canonical, so the labels decide
+        return np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        return hash((self.classes, self.class_of))
+
+    def __repr__(self):
+        return f"ThetaPartition(classes={self.classes!r}, class_of={self.class_of!r})"
 
     @staticmethod
     def from_classes(classes, edge_count: int) -> "ThetaPartition":
@@ -82,15 +115,18 @@ class ThetaPartition:
         missing = [k for k, j in enumerate(class_of) if j == -1]
         if missing:
             raise GraphError(f"edge {missing[0]} not covered by any class")
-        return ThetaPartition(tuple(normalized), tuple(class_of))
+        return ThetaPartition._from_labels(np.array(class_of, dtype=np.int64), len(normalized))
 
     @staticmethod
     def _from_labels(class_of: np.ndarray, count: int) -> "ThetaPartition":
         """The partition of edges labelled 0..count-1 in order of their smallest edge."""
-        order = np.argsort(class_of, kind="stable").tolist()
-        bounds = np.cumsum(np.bincount(class_of, minlength=count)).tolist()
-        classes = tuple(tuple(order[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
-        return ThetaPartition(classes, tuple(class_of.tolist()))
+        labels = class_of.astype(np.int64, copy=False)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(labels, minlength=count), out=bounds[1:])
+        for array in (labels, order, bounds):
+            array.flags.writeable = False
+        return ThetaPartition(labels, order, bounds)
 
 
 def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:

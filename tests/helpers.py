@@ -8,6 +8,8 @@ import sys
 from collections import deque
 from pathlib import Path
 
+import numpy as np
+
 import cutindex as ci
 from cutindex.chem import HEXAGON_OFFSETS, OCTAGON_OFFSETS, SQUARE_OFFSETS
 
@@ -383,6 +385,26 @@ def chain_walk_classes(edge_count: int, pairs) -> list[list[int]]:
         far_ends.add(chain[-1])
         classes.append(chain)
     return classes
+
+
+def check_partition_store(tp, classes, class_of):
+    """tp's arrays, derived views, ==, hash and repr against the tuples it stands for."""
+    m, r = len(class_of), len(classes)
+    assert tp.class_count == r
+    for array in (tp.labels, tp.order, tp.bounds):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    assert tp.labels.tolist() == list(class_of)
+    assert tp.order.tolist() == [k for cls in classes for k in cls]
+    assert tp.bounds.tolist() == [sum(map(len, classes[:j])) for j in range(r + 1)]
+    assert "classes" not in tp.__dict__ and "class_of" not in tp.__dict__
+    same = ci.ThetaPartition.from_classes(classes, m)
+    assert tp == same and not tp != same
+    assert hash(tp) == hash(same) == hash((classes, class_of))
+    assert repr(tp) == f"ThetaPartition(classes={classes!r}, class_of={class_of!r})"
+    assert (tp.classes, tp.class_of) == (classes, class_of)
+    if r > 1:  # the last two classes merged: a different partition
+        other = ci.ThetaPartition.from_classes(classes[:-2] + (classes[-2] + classes[-1],), m)
+        assert tp != other and other != tp
 
 
 def face_join_reference(spec):

@@ -13,6 +13,7 @@ from helpers import (
     all_c4c8_cellsets,
     cell_set_error,
     chain_walk_classes,
+    check_partition_store,
     face_join_reference,
     random_benzenoid,
     random_c4c8,
@@ -21,10 +22,15 @@ from helpers import (
 )
 
 
+def _names(tags):
+    return [ci.DIRECTIONS[code] for code in tags.tolist()]
+
+
 def test_single_octagon():
     g, tags, coords = ci.build_c4c8(ci.C4C8Spec([(0, 0)]))
     assert g.vertex_count == 8 and g.edge_count == 8
-    assert Counter(tags) == {"H": 2, "V": 2, "D+": 2, "D-": 2}
+    assert tags.dtype == np.int8 and tags.shape == (8,)
+    assert Counter(_names(tags)) == {"H": 2, "V": 2, "D+": 2, "D-": 2}
     assert len(set(coords)) == 8
     assert ci.wiener_brute(g) == 64
     assert ci.szeged_brute(g) == 128
@@ -33,7 +39,7 @@ def test_single_octagon():
 def test_two_horizontal_cells_share_one_v_edge():
     g, tags, _ = ci.build_c4c8(ci.C4C8Spec([(0, 0), (1, 0)]))
     assert g.vertex_count == 14 and g.edge_count == 15
-    assert Counter(tags)["V"] == 3
+    assert Counter(_names(tags))["V"] == 3
 
 
 def test_2x2_block_and_central_diamond():
@@ -116,7 +122,8 @@ def test_far_translated_cells_build_the_same_system():
         spec, spec2 = spec_type(cells), spec_type([(i + far, j + far) for i, j in cells])
         g, tags, theta = c4c8_theta_partition(spec)
         g2, tags2, theta2 = c4c8_theta_partition(spec2)
-        assert (g2.vertex_count, g2.edges, tags2, theta2) == (g.vertex_count, g.edges, tags, theta)
+        assert (g2.vertex_count, g2.edges, theta2) == (g.vertex_count, g.edges, theta)
+        assert tags2.tolist() == tags.tolist()
         coords, coords2 = build(spec)[2], build(spec2)[2]
         assert coords2 == tuple((x + shift, y + shift) for x, y in coords)
 
@@ -124,7 +131,7 @@ def test_far_translated_cells_build_the_same_system():
 def test_benzenoid_counts():
     g, tags, _ = ci.build_benzenoid(ci.BenzenoidSpec([(0, 0)]))
     assert g.vertex_count == 6 and g.edge_count == 6
-    assert len(set(tags)) == 3
+    assert len(set(_names(tags))) == 3
     assert ci.wiener_brute(g) == 27
     assert ci.szeged_brute(g) == 54
     g2, _, _ = ci.build_benzenoid(ci.BenzenoidSpec([(0, 0), (1, 0)]))
@@ -168,10 +175,42 @@ def test_direction_partition_rejects_mixed_class():
     g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
     bad_tags = ["H"] * g.edge_count
     bad_tags[theta.classes[0][0]] = "V"
-    with pytest.raises(ci.GraphError, match="mixes directions"):
-        ci.direction_partition(g, tuple(bad_tags), theta)
-    with pytest.raises(ci.GraphError, match="per edge"):
-        ci.direction_partition(g, ("H",), theta)
+    codes = np.zeros(g.edge_count, dtype=np.int8)
+    codes[theta.classes[0][0]] = ci.DIRECTIONS.index("V")
+    # the tags of class 2's smallest edge, and of no other, turned to the next direction
+    turned = tags.copy()
+    turned[theta.classes[2][0]] = (turned[theta.classes[2][0]] + 1) % 4
+    mixed2 = sorted({ci.DIRECTIONS[tags[theta.classes[2][0]]], ci.DIRECTIONS[turned[theta.classes[2][0]]]})
+    for bad, message in [
+        (tuple(bad_tags), "class 0 mixes directions ['H', 'V']; not an elementary cut"),
+        (bad_tags, "class 0 mixes directions ['H', 'V']; not an elementary cut"),
+        (codes, "class 0 mixes directions ['H', 'V']; not an elementary cut"),
+        (turned, f"class 2 mixes directions {mixed2}; not an elementary cut"),
+        (tuple(_names(turned)), f"class 2 mixes directions {mixed2}; not an elementary cut"),
+    ]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.direction_partition(g, bad, theta)
+        assert str(err.value) == message
+    for short in [("H",), np.zeros(1, dtype=np.int8), tags[:-1], tuple(_names(tags)) + ("H",)]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.direction_partition(g, short, theta)
+        assert str(err.value) == "one direction tag per edge required"
+
+
+def test_direction_partition_of_codes_equals_that_of_names():
+    rng = random.Random(73)
+    specs = [random_c4c8(rng, 12) for _ in range(10)] + [random_benzenoid(rng, 12) for _ in range(10)]
+    for spec in specs:
+        g, tags, theta = c4c8_theta_partition(spec)
+        cp = ci.direction_partition(g, tags, theta)
+        assert cp == ci.direction_partition(g, tuple(_names(tags)), theta)
+        assert cp == ci.direction_partition(g, np.array(_names(tags)), theta)
+        # groups by smallest class, each a tag's classes in order, every class once
+        by_tag = {}
+        for j, cls in enumerate(theta.classes):
+            by_tag.setdefault(tags[cls[0]], []).append(j)
+        assert cp.groups == tuple(sorted(map(tuple, by_tag.values())))
+        assert all(type(j) is int for group in cp.groups for j in group)
 
 
 def test_geometric_cuts_match_theta_for_all_small_systems():
@@ -206,7 +245,8 @@ def test_kernel_classes_equal_the_chain_walk():
         walk = chain_walk_classes(g.edge_count, _assemble(spec)[2])
         assert theta == ci.ThetaPartition.from_classes(walk, g.edge_count)
         build = ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid
-        assert build(spec)[:2] == (g, tags)
+        g2, tags2, _ = build(spec)
+        assert g2 == g and tags2.tolist() == tags.tolist()
 
 
 def test_face_join_equals_a_plain_python_numbering():
@@ -228,12 +268,76 @@ def test_face_join_equals_a_plain_python_numbering():
 
 @pytest.mark.parametrize("spec_type", [ci.C4C8Spec, ci.BenzenoidSpec])
 def test_cell_coordinates_must_be_integers(spec_type):
-    for bad in ([(0.5, 0), (1.9, 0)], [("0", "0"), ("1", "0")], [(np.float64(0), 0)]):
+    for bad in ([(0.5, 0), (1.9, 0)], [("0", "0"), ("1", "0")], [(np.float64(0), 0)],
+                np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([["0", "0"], ["1", "0"]])):
         with pytest.raises(TypeError):
             spec_type(bad)
     spec = spec_type([(np.int64(0), np.int32(0)), (np.int32(1), np.int64(0))])
     assert spec == spec_type([(0, 0), (1, 0)])
     assert all(type(k) is int for cell in spec.cells for k in cell)
+
+
+@pytest.mark.parametrize("spec_type", [ci.C4C8Spec, ci.BenzenoidSpec])
+def test_array_cells_keep_the_spec_contract(spec_type):
+    cells = [(0, 0), (1, 0), (0, 1), (1, -1)]
+    spec = spec_type(cells)
+    for dtype in (np.int64, np.int32, np.uint8, np.int8):
+        source = np.array(cells if dtype != np.uint8 else [(i + 1, j + 1) for i, j in cells], dtype)
+        array_spec = spec_type(source)
+        source[0] = (50, 50)  # the spec keeps its own copy
+        assert "cells" not in array_spec.__dict__
+        if dtype == np.uint8:
+            assert array_spec.cells == {(i + 1, j + 1) for i, j in cells}
+            continue
+        assert array_spec == spec and not array_spec != spec and hash(array_spec) == hash(spec)
+        assert repr(array_spec) == repr(spec) == f"{spec_type.__name__}(cells={frozenset(cells)!r})"
+        assert array_spec.cells == frozenset(cells)
+        assert all(type(k) is int for cell in array_spec.cells for k in cell)
+        assert c4c8_theta_partition(array_spec)[::2] == c4c8_theta_partition(spec)[::2]
+    # duplicates collapse, in arrays and in lists, whatever their order
+    for twice in (cells + cells[::-1], np.array(cells * 3), np.array(cells[:1] * 2 + cells)):
+        again = spec_type(twice)
+        assert again == spec and again.faces()[0] == spec.faces()[0]
+        assert [a.tolist() for a in again.faces()[1][0][:1]] == [a.tolist() for a in spec.faces()[1][0][:1]]
+        assert ci.c4c8_indices(again) == ci.c4c8_indices(spec)
+    assert spec != ci.C4C8Spec(cells) if spec_type is ci.BenzenoidSpec else spec != ci.BenzenoidSpec(cells)
+    with pytest.raises(AttributeError):
+        spec.cells = frozenset()
+    # arrays near the int64 ends, inside and past the array bound, build the same system
+    g, tags, theta = c4c8_theta_partition(spec)
+    for shift in (10**18 - 2, -(10**18), 2**62 - 2, 2**62, -(2**62) + 2, 2**63 - 2, -(2**63) + 1):
+        far = np.array([(i + shift, j + shift) for i, j in cells], dtype=np.int64)
+        far_spec = spec_type(far)
+        assert ("_array" in far_spec.__dict__) == (-(2**62) < far.min() and far.max() < 2**62)
+        g2, tags2, theta2 = c4c8_theta_partition(far_spec)
+        assert (g2, tags2.tolist(), theta2) == (g, tags.tolist(), theta)
+        assert far_spec.cells == {tuple(cell) for cell in far.tolist()}
+    with pytest.raises(ci.GraphError, match="at least one cell"):
+        spec_type(np.zeros((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec_type", [ci.C4C8Spec, ci.BenzenoidSpec])
+def test_array_cell_errors_equal_tuple_cell_errors(spec_type):
+    for cells in ([(0, 0), (2, 0)], [(0, 0), (0, 5), (0, 0)], [(0, 0), (10**18, 0)],
+                  [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]):
+        with pytest.raises(ci.GraphError) as by_tuples:
+            spec_type(cells)
+        with pytest.raises(ci.GraphError) as by_array:
+            spec_type(np.array(cells, dtype=np.int64))
+        assert str(by_array.value) == str(by_tuples.value)
+
+
+def test_theta_partition_store_on_all_small_cell_sets():
+    specs = [ci.C4C8Spec(c) for c in all_c4c8_cellsets(4)]
+    specs += [ci.BenzenoidSpec(c) for c in all_benzenoid_cellsets(4)]
+    for spec in specs:
+        g, _, theta = c4c8_theta_partition(spec)
+        classes = tuple(sorted(tuple(sorted(c)) for c in chain_walk_classes(g.edge_count, _assemble(spec)[2])))
+        class_of = [0] * g.edge_count
+        for j, cls in enumerate(classes):
+            for k in cls:
+                class_of[k] = j
+        check_partition_store(theta, classes, tuple(class_of))
 
 
 def test_all_cellset_enumeration_counts():
@@ -365,3 +469,13 @@ def test_direction_tag():
     assert ci.direction_tag((0, 0), (1, 1)) == "D+"
     assert ci.direction_tag((1, 1), (0, 0)) == "D+"
     assert ci.direction_tag((0, 1), (1, 0)) == "D-"
+
+
+def test_direction_codes_name_each_edge_as_direction_tag_does():
+    rng = random.Random(79)
+    specs = [ci.C4C8Spec(c) for c in all_c4c8_cellsets(3)]
+    specs += [ci.BenzenoidSpec(c) for c in all_benzenoid_cellsets(3)]
+    specs += [random_c4c8(rng, 12) for _ in range(5)] + [random_benzenoid(rng, 12) for _ in range(5)]
+    for spec in specs:
+        g, tags, coords = (ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid)(spec)
+        assert _names(tags) == [ci.direction_tag(coords[u], coords[v]) for u, v in g.edges]

@@ -4,10 +4,12 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cutindex as ci
-from cutindex import files, treedp
+import cutindex.cli as cli_module
+from cutindex import chem, files, treedp
 from cutindex.cli import main
 from cutindex.files import format_graph_file, parse_graph_text
 from helpers import random_tree, run_under_1gib
@@ -744,6 +746,40 @@ def test_tree_index_builds_no_weight_tuples(tmp_path, monkeypatch, comment):
     assert len(parsed) == 1
     assert "vertex_weights" not in parsed[0].__dict__
     assert "edge_weights" not in parsed[0].__dict__
+
+
+@pytest.mark.parametrize("kind", ["c4c8", "benzenoid"])
+def test_direction_route_builds_no_cell_or_class_tuples(tmp_path, monkeypatch, capsys, kind):
+    # A plain cell file stays arrays from the parse to the rows: the spec
+    # derives no cell set and the partition no class tuples.
+    specs, thetas = [], []
+    cell_spec, theta_partition = cli_module._cell_spec, chem.c4c8_theta_partition
+
+    def spy_spec(text):
+        specs.append(cell_spec(text))
+        return specs[-1]
+
+    def spy_theta(spec):
+        thetas.append(theta_partition(spec))
+        return thetas[-1]
+
+    text = f"t {kind}\n" + "".join(f"c {i} {j}\n" for i in range(4) for j in range(-3, 0))
+    monkeypatch.setattr("cutindex.cli._cell_spec", spy_spec)
+    monkeypatch.setattr("cutindex.chem.c4c8_theta_partition", spy_theta)
+    argv = ["index", _write(tmp_path, "block.cells", text), "--method", "partition",
+            "--partition", "direction", "--verbose"]
+    assert main(argv) == 0
+    assert len(specs) == len(thetas) == 1
+    assert isinstance(specs[0]._array, np.ndarray)
+    assert "cells" not in specs[0].__dict__
+    _, tags, theta = thetas[0]
+    assert tags.dtype == np.int8
+    assert "classes" not in theta.__dict__ and "class_of" not in theta.__dict__
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    commented = "# line parser\n" + text.replace("\n", "\r\n")
+    assert main(argv[:1] + [_write(tmp_path, "commented.cells", commented)] + argv[2:]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_tree_passes_never_build_adjacency(tmp_path, monkeypatch):

@@ -27,15 +27,14 @@ def test_parse_graph_basic():
     data = parse_graph_text(C4_TEXT)
     assert data.graph.vertex_count == 4
     assert data.graph.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
-    assert data.vertex_weights == (1, 1, 1, 1)
+    assert [w.tolist() for w in data.weight_vectors()] == [[1, 1, 1, 1], [1, 1, 1, 1]]
     assert not data.has_nondefault_weights
 
 
 def test_parse_graph_weights():
     text = "p 3 2\ne 0 1\ne 1 2\nwv 1 5\nwe 0 2\n"
     data = parse_graph_text(text)
-    assert data.vertex_weights == (1, 5, 1)
-    assert data.edge_weights == (2, 1)
+    assert [w.tolist() for w in data.weight_vectors()] == [[1, 5, 1], [2, 1]]
     assert data.has_nondefault_weights
 
 
@@ -93,33 +92,46 @@ def test_graph_round_trip_with_weights():
     g = ci.build_graph(3, [(0, 1), (1, 2)])
     text = format_graph_file(g, vertex_weights=(4, 12, 12), edge_weights=(2, 4))
     data = parse_graph_text(text)
-    assert data.vertex_weights == (4, 12, 12)
-    assert data.edge_weights == (2, 4)
+    assert [w.tolist() for w in data.weight_vectors()] == [[4, 12, 12], [2, 4]]
 
 
 def test_parse_cells():
     kind, cells = parse_cell_text("t c4c8\nc 0 0\nc 1 0\n")
     assert kind == "c4c8"
-    assert cells == [(0, 0), (1, 0)]
+    assert cells.dtype == np.int64 and not cells.flags.writeable
+    assert cells.tolist() == [[0, 0], [1, 0]]
     kind, cells = parse_cell_text("# x\nt benzenoid\nc -1 2\n")
     assert kind == "benzenoid"
     assert cells == [(-1, 2)]
 
 
+def _cell_error(text, topic, message):
+    """A case of test_parse_cell_errors, its id the text and a topic word."""
+    return pytest.param(text, message, id=f"{text}-{topic}")
+
+
 @pytest.mark.parametrize(
-    "text,needle",
+    "text,message",
     [
-        ("t nope\nc 0 0\n", "type"),
-        ("c 0 0\n", "before type"),
-        ("t c4c8\n", "at least one cell"),
-        ("t c4c8\nc 0 0\nc 0 0\n", "duplicate cell"),
-        ("t c4c8\nt c4c8\n", "duplicate type"),
-        ("t c4c8\nc 0\n", "cell line"),
+        _cell_error("t nope\nc 0 0\n", "type", "line 1: type must be 't c4c8' or 't benzenoid'"),
+        _cell_error("c 0 0\n", "before type", "line 1: cell before type line"),
+        _cell_error("t c4c8\n", "at least one cell", "line 1: at least one cell required"),
+        _cell_error("t c4c8\nc 0 0\nc 0 0\n", "duplicate cell", "line 3: duplicate cell (0, 0)"),
+        _cell_error("t c4c8\nt c4c8\n", "duplicate type", "line 2: duplicate type line"),
+        _cell_error("t c4c8\nc 0\n", "cell line", "line 2: cell line must be 'c <i> <j>'"),
+        _cell_error("", "missing type", "line 1: missing 't c4c8' or 't benzenoid' line"),
+        _cell_error("t c4c8\nc 0 x\n", "coordinate", "line 2: expected integer coordinate"),
+        _cell_error("t c4c8\nc 0 0\ne 0 1\n", "unknown record", "line 3: unknown record 'e'"),
+        _cell_error("t c4c8 x\nc 0 0\n", "type fields", "line 1: type must be 't c4c8' or 't benzenoid'"),
+        _cell_error("# a\r\n\r\nt c4c8\r\nc 5 -7\r\nc\t5 -7\r\n", "duplicate after breaks",
+                    "line 5: duplicate cell (5, -7)"),
     ],
 )
-def test_parse_cell_errors(text, needle):
-    with pytest.raises(ParseError, match=needle):
+def test_parse_cell_errors(text, message):
+    with pytest.raises(ParseError) as err:
         parse_cell_text(text)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].split()[1])
 
 
 def test_sniff_kind():
@@ -164,7 +176,7 @@ def test_array_path_builds_no_edge_tuples():
     data = parse_graph_text("p 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n")
     assert "edges" not in data.graph.__dict__
     assert data.graph.ends.tolist() == [[0, 1], [1, 2]]
-    assert data.vertex_weights == (1, 1, 5) and data.edge_weights == (4, 1)
+    assert [w.tolist() for w in data.weight_vectors()] == [[1, 1, 5], [4, 1]]
 
 
 def test_weight_lines_stay_arrays_on_both_parsers():
@@ -179,14 +191,24 @@ def test_weight_lines_stay_arrays_on_both_parsers():
     w, w_edge = data.weight_vectors()
     assert w.dtype == object and w.tolist() == [1, big]
     assert w_edge.dtype == np.int64 and w_edge.tolist() == [big - 1]
-    assert data.vertex_weights == (1, big) and data.vertex_weight_lines == ((1,), (big,))
+    assert [column.tolist() for column in data.vertex_lines] == [[1], [big]]
+
+
+def test_weight_tuple_views_equal_the_weight_vectors():
+    big = 2**63
+    for text in ("p 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n", "# c\np 3 2\ne 0 1\ne 1 2\nwv 2 5\nwe 0 4\n",
+                 f"p 2 1\ne 0 1\nwv 1 {big}\n"):
+        data = parse_graph_text(text)
+        w, w_edge = data.weight_vectors()
+        assert (data.vertex_weights, data.edge_weights) == (tuple(w.tolist()), tuple(w_edge.tolist()))
+        assert all(type(x) is int for x in data.vertex_weights + data.edge_weights)
 
 
 def test_huge_header_keeps_weights_sparse():
     for text in ("p 2000000000 0\nwv 1999999999 3\n", "# c\np 2000000000 0\nwv 1999999999 3\n"):
         data = parse_graph_text(text)
         assert data.graph.vertex_count == 2000000000
-        assert data.vertex_weight_lines == ((1999999999,), (3,))
+        assert [column.tolist() for column in data.vertex_lines] == [[1999999999], [3]]
         assert data.has_nondefault_weights
 
 

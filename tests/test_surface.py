@@ -88,7 +88,7 @@ def test_readme_library_example_runs_as_commented():
         if expected is not _NO_LITERAL:
             assert value == expected, code
             checked += 1
-    assert checked == 10
+    assert checked == 12
     assert namespace["wq"].edge_class == (0, 1, 1, 0)
     assert namespace["rows"][0] == ci.CutRow(class_index=0, size=2, n1=2, n2=2)
     assert isinstance(namespace["pc"], ci.PartialCube)

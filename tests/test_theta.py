@@ -17,6 +17,7 @@ from helpers import (
     random_benzenoid,
     random_c4c8,
     random_tree,
+    check_partition_store,
     relabelled,
     theta_closure_by_pairs,
 )
@@ -330,6 +331,17 @@ def test_theta_star_equals_pairwise_closure(name):
     tp = ci.theta_star_classes(g)
     assert tp.classes == classes
     assert tp.class_of == class_of
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
+def test_theta_partition_store_gives_the_closure_views(name):
+    g, (classes, class_of) = _closure_case(name)
+    check_partition_store(ci.theta_star_classes(g), classes, class_of)
+
+
+def test_theta_partition_is_not_equal_to_other_types():
+    tp = ci.theta_star_classes(cycle(4))
+    assert tp != ((0, 2), (1, 3)) and tp.__eq__(object()) is NotImplemented
 
 
 @pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
