@@ -3,8 +3,8 @@
 The package recognizes partial cubes through the Djokovic-Winkler relation,
 decomposes the indices over edge-class cuts and coarser-partition quotient
 graphs, generates C4C8 and benzenoid systems, and computes both indices of
-weighted trees, and hence of both kinds of system, in linear time.
-Brute-force evaluators from the definitions are kept alongside as oracles.
+weighted trees, hence of both systems, in O(n log n) (the paper's bound is
+linear); brute-force evaluators from the definitions serve as oracles.
 """
 
 from .chem import (

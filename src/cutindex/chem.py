@@ -1,4 +1,4 @@
-"""C4C8 and benzenoid system generators with the linear-time index pipeline.
+"""C4C8 and benzenoid system generators with the direction-partition index pipeline.
 
 A C4C8 system is modeled by its set of octagon cells on the truncated-square
 (4.8.8) net: cell (i,j) is the octagon centered at (4i, 4j) with vertices at
@@ -30,13 +30,12 @@ the tags out as an int8 array of codes, DIRECTIONS naming each code, so no
 per-edge string is made.  Grouping the edge classes by tag gives the
 direction partition, whose quotients are trees for both kinds (for
 benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), and
-c4c8_report reads it with partition_rows' reader: one tree pass each, O(n).
+c4c8_report reads it with partition_rows' reader: one tree pass each.  The
+paper's bound is linear; the face join's sorts and the tree pass's pointer
+jumping (ceil(log2 2(n-1)) rounds) make it O(n log n) here.
 
-A spec takes its cells as an (n, 2) int64 array, as a plain cell file
-parses, and keys them without a per-cell Python object; any other
-iterable of pairs is read pair by pair (operator.index, so coordinates of
-any size) into the frozenset that spec.cells always is, built from an
-array on first use.
+Every input reaches a spec by one reader, _read_cells, and the spec keeps
+only the cell grid its validation built; spec.cells is derived from it.
 """
 
 from __future__ import annotations
@@ -98,62 +97,50 @@ def _cell_components(keys, width: int, offsets) -> np.ndarray:
     return _components(len(keys), ends)[0]
 
 
-#: Array cells stay within this bound, so their offsets from the first cell fit int64.
-_ARRAY_CELL_BOUND = 2**62
+def _read_cells(cells) -> np.ndarray:
+    """cells as an (n, 2) array: int64, or Python ints when a coordinate is past int64.
 
-
-def _is_cell_array(cells) -> bool:
-    """Whether cells is a nonempty (n, 2) integer array the array path can key."""
-    return (
-        isinstance(cells, np.ndarray)
-        and cells.dtype.kind in "iu"
-        and cells.ndim == 2
-        and cells.shape[1] == 2
-        and len(cells) > 0
-        and -_ARRAY_CELL_BOUND < cells.min()
-        and cells.max() < _ARRAY_CELL_BOUND
-    )
-
-
-def _cell_tuples(cells) -> frozenset[tuple[int, int]]:
-    """The cells of an (n, 2) integer array as a frozenset of Python-int pairs."""
-    return frozenset(zip(*cells.T.tolist()))
-
-
-def _near_offsets(cells, n: int):
-    """The first cell, and the offsets from it of the cells fewer than n rows and columns off.
-
-    cells is an array (see _is_cell_array) or a set of int pairs; the
-    offsets come back as int64 row and column arrays.
+    An (n, 2) integer array whose dtype casts safely to int64 is read as
+    int64 (a uint64 cast would wrap at 2**63); anything else is read pair by
+    pair with operator.index, so a float or a string coordinate is a TypeError.
     """
-    if isinstance(cells, np.ndarray):
-        rows, cols = cells.T
-        si = rows.min()
-        sj = cols[rows == si].min()
-        rows, cols = rows - si, cols - sj
-        near = (rows < n) & (np.abs(cols) < n)
-        return (int(si), int(sj)), rows[near], cols[near]
-    start = si, sj = min(cells)
-    near = [(i - si, j - sj) for i, j in cells if i - si < n and abs(j - sj) < n]
-    rows, cols = np.array(near, dtype=np.int64).reshape(-1, 2).T
-    return start, rows, cols
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "iu" and cells.shape[1:] == (2,):
+        if np.can_cast(cells.dtype, np.int64):
+            return cells.astype(np.int64, copy=False)
+    pairs = [(index(i), index(j)) for i, j in cells]
+    try:
+        return np.array(pairs, dtype=np.int64)
+    except OverflowError:
+        return np.array(pairs, dtype=object)
+
+
+def _near_offsets(cells: np.ndarray, n: int):
+    """The first cell, and the int64 offsets from it of the cells fewer than n rows and columns off.
+
+    Only those cells are subtracted from the first, so no int64 difference wraps.
+    """
+    rows, cols = cells.T
+    si = int(rows.min())
+    sj = int(cols[rows == si].min())
+    near = (rows < si + n) & (sj - n < cols) & (cols < sj + n)
+    return (si, sj), (rows[near] - si).astype(np.int64), (cols[near] - sj).astype(np.int64)
 
 
 def _check_cells(cells, neighbors, complement, faces, kind: str):
     """Require a nonempty, connected cell set without enclosed holes.
 
-    cells is a set of int pairs or an array of them (see _is_cell_array),
-    where a cell listed twice counts once.  Keys run in (i, j) order, and
-    the kernel gives the first key label 0.  Only cells fewer than n rows
-    and columns from the first cell can be reached from it, so only they
-    are keyed, as small offsets from it.  A connected set has no hole iff
-    its Euler characteristic, cells minus adjacent pairs plus faces (cells
-    with every offset of a face present), is 1; that takes O(n log n) work
-    whatever the set's extent.  Only a set with a hole pays for naming it: a
-    hole is an empty cell of the bordered bounding box off the border's
-    component; keys wrapping past a row end join border cells only.
-    Returns the cell grid: the first cell, every cell relative to it as an
-    (n, 2) int64 array in key order, and each face's mask over them (for
+    cells is an (n, 2) array from _read_cells; a cell listed twice counts
+    once.  Keys run in (i, j) order, and the kernel gives the first key
+    label 0.  Only cells fewer than n rows and columns from the first cell
+    can be reached from it, so only they are keyed, as small offsets from
+    it.  A connected set has no hole iff its Euler characteristic, cells
+    minus adjacent pairs plus faces (cells with every offset of a face
+    present), is 1; that takes O(n log n) work whatever the set's extent.
+    Only a set with a hole pays for naming it: a hole is an empty cell of
+    the bordered bounding box off the border's component; keys wrapping
+    past a row end join border cells only.  Returns the cell grid, a spec's
+    only store: the first cell as Python ints, every cell relative to it as
+    an (n, 2) int64 array in key order, and each face's mask over them (for
     C4C8 the full 2 x 2 blocks, one per square).
     """
     if not len(cells):
@@ -165,7 +152,7 @@ def _check_cells(cells, neighbors, complement, faces, kind: str):
     if len(di) < n or not reach.all():
         si, sj = start
         seen = {(si + k // w, sj + k % w - n) for k in keys[reach].tolist()}
-        every = _cell_tuples(cells) if isinstance(cells, np.ndarray) else cells
+        every = set(zip(*cells.T.tolist()))
         raise GraphError(f"disconnected cells: {min(every - seen)} unreachable from {start}")
 
     def present(di, dj):
@@ -190,28 +177,21 @@ def _check_cells(cells, neighbors, complement, faces, kind: str):
 class _CellSpec:
     """A validated cell set; subclasses give the net and its bounded faces.
 
-    An integer array of (i, j) rows (see _is_cell_array) is kept as a
-    read-only int64 copy and keyed as it is; any other iterable of pairs is
-    read by operator.index, so a float or a string coordinate is a
-    TypeError.  Cells listed twice count once.  cells, a frozenset of
-    Python-int pairs, is derived from an array on first use; ==, hash and
-    repr go by it.  Instances are immutable.
+    Cells are anything _read_cells reads, a cell listed twice counting once,
+    and the spec keeps only the grid _check_cells returns.  cells, a
+    frozenset of Python-int pairs, is derived from the grid on first use and
+    filled in key order, so equal specs print equal reprs; ==, hash and repr
+    go by it.  Instances are immutable.
     """
 
     def __init__(self, cells):
-        if _is_cell_array(cells):
-            cells = np.array(cells, dtype=np.int64)
-            cells.flags.writeable = False
-            self.__dict__["_array"] = cells
-        else:
-            cells = frozenset((index(i), index(j)) for i, j in cells)
-            self.__dict__["cells"] = cells
-        grid = _check_cells(cells, self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND)
-        self.__dict__["_grid"] = grid
+        net = self._NEIGHBORS, self._COMPLEMENT, self._FACES, self._KIND
+        self.__dict__["_grid"] = _check_cells(_read_cells(cells), *net)
 
     @cached_property
     def cells(self) -> frozenset[tuple[int, int]]:
-        return _cell_tuples(self._array)
+        (si, sj), rel, _ = self._grid
+        return frozenset((si + i, sj + j) for i, j in rel.tolist())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -373,7 +353,7 @@ def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartiti
 
 
 def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
-    """Indices of a C4C8 or benzenoid system plus its per-class cut rows, all in O(n).
+    """Indices of a C4C8 or benzenoid system plus its per-class cut rows, in O(n log n).
 
     Returns (wiener, szeged, rows), one CutRow per edge class by class index,
     read off the direction partition by partition_rows' reader: the tree pass
@@ -391,5 +371,5 @@ def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
 
 
 def c4c8_indices(spec: C4C8Spec | BenzenoidSpec) -> tuple[int, int]:
-    """Wiener and Szeged index of a C4C8 or benzenoid system in O(n) time."""
+    """Wiener and Szeged index of a C4C8 or benzenoid system in O(n log n) time."""
     return c4c8_report(spec)[:2]

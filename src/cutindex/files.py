@@ -330,9 +330,9 @@ def format_graph_file(graph: Graph, vertex_weights=None, edge_weights=None) -> s
 def parse_cell_text(text: str) -> tuple[str, np.ndarray | list[tuple[int, int]]]:
     """Parse a cell file into (kind, cells).
 
-    A plain file (see _parse_cell_arrays) gives its cells as a read-only
-    (n, 2) int64 array, in file order; any other file goes to the line
-    parser, which gives a list of (i, j) int tuples and owns every ParseError.
+    A plain file (see _parse_cell_arrays) gives a read-only (n, 2) int64
+    array in file order, any other file the line parser's list of (i, j) int
+    tuples (that parser owns every ParseError); a spec reads both alike.
     """
     parsed = _parse_cell_arrays(text)
     return parsed if parsed is not None else _parse_cell_lines(text)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 
@@ -281,19 +282,28 @@ def test_cell_coordinates_must_be_integers(spec_type):
 def test_array_cells_keep_the_spec_contract(spec_type):
     cells = [(0, 0), (1, 0), (0, 1), (1, -1)]
     spec = spec_type(cells)
-    for dtype in (np.int64, np.int32, np.uint8, np.int8):
-        source = np.array(cells if dtype != np.uint8 else [(i + 1, j + 1) for i, j in cells], dtype)
+    g, tags, theta = c4c8_theta_partition(spec)
+    # unsigned arrays hold the cells moved into their range; uint64 past 2**63
+    # does not cast safely to int64 and keeps its exact coordinates
+    shifts = {np.uint8: (1, 1), np.uint64: (2**63, 2**64 - 2)}
+    for dtype in (np.int64, np.int32, np.uint8, np.int8, np.uint64):
+        di, dj = shifts.get(dtype, (0, 0))
+        moved = [(i + di, j + dj) for i, j in cells]
+        twin = spec_type(moved)
+        source = np.array(moved, dtype)
         array_spec = spec_type(source)
-        source[0] = (50, 50)  # the spec keeps its own copy
-        assert "cells" not in array_spec.__dict__
-        if dtype == np.uint8:
-            assert array_spec.cells == {(i + 1, j + 1) for i, j in cells}
-            continue
-        assert array_spec == spec and not array_spec != spec and hash(array_spec) == hash(spec)
-        assert repr(array_spec) == repr(spec) == f"{spec_type.__name__}(cells={frozenset(cells)!r})"
-        assert array_spec.cells == frozenset(cells)
+        source[0] = (50, 50)  # the spec keeps nothing of its input
+        assert list(array_spec.__dict__) == ["_grid"]
+        assert array_spec == twin and not array_spec != twin and hash(array_spec) == hash(twin)
+        assert repr(array_spec) == repr(twin) == f"{spec_type.__name__}(cells={twin.cells!r})"
+        assert array_spec.cells == twin.cells == frozenset(moved)
         assert all(type(k) is int for cell in array_spec.cells for k in cell)
-        assert c4c8_theta_partition(array_spec)[::2] == c4c8_theta_partition(spec)[::2]
+        g2, tags2, theta2 = c4c8_theta_partition(array_spec)
+        assert (g2, tags2.tolist(), theta2) == (g, tags.tolist(), theta)
+        assert c4c8_theta_partition(twin)[::2] == (g2, theta2)
+    # equal specs print equal reprs, whatever order their cells came in
+    for again in (spec_type(cells[::-1]), spec_type(np.array(cells[::-1])), spec_type(set(cells))):
+        assert again == spec and repr(again) == repr(spec)
     # duplicates collapse, in arrays and in lists, whatever their order
     for twice in (cells + cells[::-1], np.array(cells * 3), np.array(cells[:1] * 2 + cells)):
         again = spec_type(twice)
@@ -303,12 +313,11 @@ def test_array_cells_keep_the_spec_contract(spec_type):
     assert spec != ci.C4C8Spec(cells) if spec_type is ci.BenzenoidSpec else spec != ci.BenzenoidSpec(cells)
     with pytest.raises(AttributeError):
         spec.cells = frozenset()
-    # arrays near the int64 ends, inside and past the array bound, build the same system
-    g, tags, theta = c4c8_theta_partition(spec)
+    # arrays near the int64 ends build the same system
     for shift in (10**18 - 2, -(10**18), 2**62 - 2, 2**62, -(2**62) + 2, 2**63 - 2, -(2**63) + 1):
         far = np.array([(i + shift, j + shift) for i, j in cells], dtype=np.int64)
         far_spec = spec_type(far)
-        assert ("_array" in far_spec.__dict__) == (-(2**62) < far.min() and far.max() < 2**62)
+        assert list(far_spec.__dict__) == ["_grid"]
         g2, tags2, theta2 = c4c8_theta_partition(far_spec)
         assert (g2, tags2.tolist(), theta2) == (g, tags.tolist(), theta)
         assert far_spec.cells == {tuple(cell) for cell in far.tolist()}
@@ -318,13 +327,26 @@ def test_array_cells_keep_the_spec_contract(spec_type):
 
 @pytest.mark.parametrize("spec_type", [ci.C4C8Spec, ci.BenzenoidSpec])
 def test_array_cell_errors_equal_tuple_cell_errors(spec_type):
+    # One text per cell set, whatever the input type: int64 arrays, lists,
+    # frozensets, and the same sets moved past int64 (Python-int arrays),
+    # whose texts name the moved cells.  Sets spanning all of int64 must not
+    # wrap their offsets into near cells.
+    top, far = 2**63 - 1, (2**70, -(2**70))
     for cells in ([(0, 0), (2, 0)], [(0, 0), (0, 5), (0, 0)], [(0, 0), (10**18, 0)],
+                  [(-top, 0), (top - 1, 0)], [(0, -top - 1), (0, top)],
+                  [(0, top), (1, top), (0, -top - 1)],
                   [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]):
         with pytest.raises(ci.GraphError) as by_tuples:
             spec_type(cells)
-        with pytest.raises(ci.GraphError) as by_array:
-            spec_type(np.array(cells, dtype=np.int64))
-        assert str(by_array.value) == str(by_tuples.value)
+        text = str(by_tuples.value)
+        moved = [(i + far[0], j + far[1]) for i, j in cells]
+        moved_text = re.sub(r"\((-?\d+), (-?\d+)\)",
+                            lambda m: str((int(m[1]) + far[0], int(m[2]) + far[1])), text)
+        for same, expected in ((np.array(cells, dtype=np.int64), text), (frozenset(cells), text),
+                               (moved, moved_text), (frozenset(moved), moved_text)):
+            with pytest.raises(ci.GraphError) as other:
+                spec_type(same)
+            assert str(other.value) == expected
 
 
 def test_theta_partition_store_on_all_small_cell_sets():

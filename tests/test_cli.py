@@ -770,7 +770,7 @@ def test_direction_route_builds_no_cell_or_class_tuples(tmp_path, monkeypatch, c
             "--partition", "direction", "--verbose"]
     assert main(argv) == 0
     assert len(specs) == len(thetas) == 1
-    assert isinstance(specs[0]._array, np.ndarray)
+    assert list(specs[0].__dict__) == ["_grid"]
     assert "cells" not in specs[0].__dict__
     _, tags, theta = thetas[0]
     assert tags.dtype == np.int8
