@@ -30,9 +30,17 @@ the tags out as an int8 array of codes, DIRECTIONS naming each code, so no
 per-edge string is made.  Grouping the edge classes by tag gives the
 direction partition, whose quotients are trees for both kinds (for
 benzenoids: Chepoi, J. Chem. Inf. Comput. Sci. 36 (1996) 1169-1172), and
-c4c8_report reads it with partition_rows' reader: one tree pass each.  The
-paper's bound is linear; the face join's sorts and the tree pass's pointer
-jumping (ceil(log2 2(n-1)) rounds) make it O(n log n) here.
+c4c8_report reads it with partition_rows' reader, one tree pass each, for
+its per-class rows.
+
+The indices alone need no face join (Crepnjak and Tratnik,
+arXiv:1609.03856, for C4C8; Chepoi and Klavzar, J. Chem. Inf. Comput. Sci.
+37 (1997) 752-755, for benzenoids).  c4c8_indices reads each direction's
+quotient tree off the cell grid: the classes are maximal runs of cells,
+and the parts left without the direction's edges are segments of the bands
+between rows, found by merging the runs' intervals on each band.  The
+paper's bound is linear; sorts of the cells and the tree pass's pointer
+jumping (ceil(log2 2(r-1)) rounds for r runs) make it O(n log n) here.
 
 Every input reaches a spec by one reader, _read_cells, and the spec keeps
 only the cell grid its validation built; spec.cells is derived from it.
@@ -46,10 +54,11 @@ from operator import index
 
 import numpy as np
 
-from .core import Graph, GraphError, _components, build_graph
+from .core import Graph, GraphError, _components, build_graph, check_u64
 from .indices import CutRow, _quotient_cuts, indices_from_rows, partition_rows
 from .quotient import CoarserPartition
 from .theta import ThetaPartition
+from .treedp import _tree_totals
 
 OCTAGON_OFFSETS = ((2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1))
 SQUARE_OFFSETS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -95,6 +104,22 @@ def _cell_components(keys, width: int, offsets) -> np.ndarray:
     hit = at >= 0
     ends = np.stack([np.flatnonzero(hit) % len(keys), at[hit]], axis=1)
     return _components(len(keys), ends)[0]
+
+
+def _runs(major, minor, link=None):
+    """(major, first minor, length) of each maximal run of the cells sorted by (major, minor).
+
+    A run goes on from a cell to the next cell on its major at minor + 1,
+    if link, when given, holds at the cell.  Coordinates are offsets within
+    a cell set, far below 2**31.
+    """
+    order = np.argsort((major << 32) + minor, kind="stable")
+    a, b = major[order], minor[order]
+    go = (a[1:] == a[:-1]) & (b[1:] == b[:-1] + 1)
+    if link is not None:
+        go &= link[order[:-1]]
+    start = np.flatnonzero(np.concatenate([[True], ~go]))
+    return a[start], b[start], np.diff(start, append=len(a))
 
 
 def _read_cells(cells) -> np.ndarray:
@@ -222,6 +247,35 @@ class C4C8Spec(_CellSpec):
         (i, j), rel, (square,) = self._grid
         return (4 * i, 4 * j), [(4 * rel, OCTAGON_OFFSETS), (4 * rel[square] + 2, SQUARE_OFFSETS)]
 
+    def _direction_runs(self):
+        """The runs of H, V, D- and D+, each as _run_sums takes them.
+
+        H and V: a run of k cells along a column or a row is a class of
+        k + 1 edges.  Without them each octagon splits into two halves of
+        four vertices; along a run neighbouring halves share a vertex, and
+        across a band facing halves share an edge.  A band segment so holds
+        k + 1 vertices per run in it plus two per column it covers (the
+        intervals count each column twice).  D- and D+: a run of k cells
+        along a diagonal over full 2 x 2 blocks is a class of 2k edges.  The
+        halves alternate along a band, four vertices each and two shared
+        with the next.  D+ is D- on (-i, j), where the block at (i, j)
+        links (i + 1, j) to (i, j + 1).
+        """
+        _, rel, (square,) = self._grid
+        i, j = rel.T
+        width = 2 * len(i) + 1  # keys in (i, j) order, as |j| < n
+        keys = i * width + j
+        turned = np.zeros(len(i), bool)
+        turned[np.searchsorted(keys, keys[square] + width)] = True
+        out = []
+        for a, b in ((i, j), (j, i)):
+            band, b0, k = _runs(a, b)
+            out.append((band, 2 * b0, 2 * b0 + 2 * k - 1, 0, k + 1, k + 1))
+        for a, b, link in ((j - i, i, square), (j + i, -i, turned)):
+            band, b0, k = _runs(a, b, link)
+            out.append((band, 4 * b0, 4 * b0 + 4 * k - 1, 2, 2 * k, None))
+        return out
+
 
 class BenzenoidSpec(_CellSpec):
     """Hexagon cells (axial coordinates) of a benzenoid system."""
@@ -233,6 +287,23 @@ class BenzenoidSpec(_CellSpec):
         """Origin (first cell's center) and hexagon centers off it, with corner offsets."""
         (a, b), rel, _ = self._grid
         return (2 * a + b, 3 * b), [(rel @ ((2, 0), (1, 3)), HEXAGON_OFFSETS)]  # (2a + b, 3b)
+
+    def _direction_runs(self):
+        """The runs of the three directions, each as _run_sums takes them.
+
+        A run of k cells along a in row b is a class of k + 1 vertical
+        edges.  Without them the band between rows b and b + 1 is a zigzag
+        path per segment, one vertex per x, and cell (a, b) covers x in
+        [2a + b - 1, 2a + b + 1] on both of its bands.  The other directions
+        are this one on (a, b) -> (-b, a + b), turned once and twice.
+        """
+        _, rel, _ = self._grid
+        a, b = rel.T
+        out = []
+        for p, q in ((a, b), (-b, a + b), (-a - b, a)):
+            band, p0, k = _runs(q, p)
+            out.append((band, 2 * p0 + band - 1, 2 * p0 + band + 2 * k - 1, 0, k + 1, None))
+        return out
 
 
 def _assemble(spec):
@@ -356,8 +427,10 @@ def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
     """Indices of a C4C8 or benzenoid system plus its per-class cut rows, in O(n log n).
 
     Returns (wiener, szeged, rows), one CutRow per edge class by class index,
-    read off the direction partition by partition_rows' reader: the tree pass
-    on each quotient tree, components on a quotient that is no tree.
+    read off the direction partition of the face join's system by
+    partition_rows' reader: the tree pass on each quotient tree, components
+    on a quotient that is no tree.  c4c8_indices gives the same indices
+    from runs of cells, without building the system.
     Benzenoid rows put the class anchor's side first, as partition_rows does;
     C4C8 rows keep the pass's side without quotient vertex 0 first.
     """
@@ -370,6 +443,47 @@ def c4c8_report(spec: C4C8Spec | BenzenoidSpec):
     return (*indices_from_rows(rows), rows)
 
 
+def _run_sums(band, lo, hi, shift, size, extra):
+    """(Wiener, Szeged) parts of one direction from its quotient tree, as Python ints.
+
+    Run r is one edge class of size[r] edges.  Its two sides lie on bands
+    band[r] and band[r] - 1, as the intervals [lo, hi] and [lo + shift,
+    hi + shift].  The intervals of one band that share a point join into a
+    segment, a quotient node holding e - s + 1 vertices for the segment
+    [s, e], plus the extra of each interval when extra is given.  Run r is
+    the tree edge between the nodes of its two sides.
+    """
+    r = len(band)
+    lo, hi = np.concatenate([lo, lo + shift]), np.concatenate([hi, hi + shift])
+    base = np.concatenate([band, band - 1]) * (int(hi.max() - lo.min()) + 2) - lo.min()
+    start, end = base + lo, base + hi  # a band's keys end below the next band's
+    order = np.argsort(start, kind="stable")
+    start, end = start[order], np.maximum.accumulate(end[order])
+    new = np.concatenate([[True], start[1:] > end[:-1]])
+    first = np.flatnonzero(new)
+    weight = end[np.append(first[1:], 2 * r) - 1] - start[first] + 1
+    if extra is not None:
+        weight += np.add.reduceat(np.concatenate([extra, extra])[order], first)
+    node = np.empty(2 * r, np.int64)
+    node[order] = np.cumsum(new) - 1
+    tree = build_graph(len(first), np.stack([node[:r], node[r:]], axis=1))
+    return _tree_totals(tree, weight, size)
+
+
 def c4c8_indices(spec: C4C8Spec | BenzenoidSpec) -> tuple[int, int]:
-    """Wiener and Szeged index of a C4C8 or benzenoid system in O(n log n) time."""
-    return c4c8_report(spec)[:2]
+    """Wiener and Szeged index of a C4C8 or benzenoid system, from runs of its cells.
+
+    No graph of the system is built.  Each direction's edge classes are
+    maximal runs of cells, read off the spec's cell grid, and the components
+    left without that direction's edges are segments of bands between rows
+    of cells; segments and runs are the nodes and edges of the direction's
+    quotient tree, which one tree pass reads.  Both totals are checked as
+    indices_from_rows checks them, the Wiener index first.  Sorts and the
+    tree pass's pointer jumping make it O(n log n) for n cells; the
+    paper's bound is linear.
+    """
+    wiener = szeged = 0
+    for runs in spec._direction_runs():
+        w, s = _run_sums(*runs)
+        wiener, szeged = wiener + w, szeged + s
+    return check_u64(wiener, "Wiener index"), check_u64(szeged, "Szeged index")

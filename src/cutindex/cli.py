@@ -13,7 +13,15 @@ import argparse
 import json
 import sys
 
-from .chem import DIRECTIONS, BenzenoidSpec, C4C8Spec, build_benzenoid, build_c4c8, c4c8_report
+from .chem import (
+    DIRECTIONS,
+    BenzenoidSpec,
+    C4C8Spec,
+    build_benzenoid,
+    build_c4c8,
+    c4c8_indices,
+    c4c8_report,
+)
 from .core import GraphError, IndexOverflowError, distance_matrix
 from .files import (
     ParseError,
@@ -162,9 +170,13 @@ def cmd_index(args) -> int:
 
     if method == "partition" and partition == "direction":
         # Cell files take geometric classes; no distance matrix of the system.
+        # The indices come from runs of cells; only the cut table needs the graph.
         if spec is None:
             raise _UsageError("--partition direction requires a cell file")
-        wiener, szeged, rows = c4c8_report(spec)
+        if args.verbose:
+            wiener, szeged, rows = c4c8_report(spec)
+        else:
+            wiener, szeged = c4c8_indices(spec)
     elif method == "brute":
         g = _graph_of(data, spec)
         d = distance_matrix(g)  # one matrix for both indices and the cut table

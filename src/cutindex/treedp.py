@@ -95,12 +95,17 @@ def _tree_sides(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
     return side, total - side, child
 
 
-def _tree_sums(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
-    """(weighted Wiener, weighted Szeged) of the tree g, both range-checked."""
+def _tree_totals(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
+    """(weighted Wiener, weighted Szeged) of the tree g as Python numbers, unchecked."""
     side, rest, _ = _tree_sides(g, w, w_edge)
     term = side * rest  # if int64, load is an int, so an object w_edge holds ints
     sums = term.sum(), (term if w_edge is None else w_edge * term).sum()
-    wiener, szeged = sums if term.dtype == object else map(int, sums)
+    return sums if term.dtype == object else tuple(map(int, sums))
+
+
+def _tree_sums(g: Graph, w: np.ndarray, w_edge: np.ndarray | None):
+    """(weighted Wiener, weighted Szeged) of the tree g, both range-checked."""
+    wiener, szeged = _tree_totals(g, w, w_edge)
     return check_u64(wiener, "weighted Wiener index"), check_u64(szeged, "weighted Szeged index")
 
 

@@ -348,6 +348,31 @@ def cell_set_error(cells, neighbors, complement, kind: str) -> str | None:
     return None
 
 
+def _flood(start, inside, steps) -> set:
+    seen, queue = {start}, deque([start])
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in steps:
+            nb = (i + di, j + dj)
+            if nb not in seen and inside(nb):
+                seen.add(nb)
+                queue.append(nb)
+    return seen
+
+
+def bounded_cells(cells, neighbors, complement) -> set:
+    """The component of the smallest cell, with every hole it encloses filled."""
+    kept = _flood(min(cells), set(cells).__contains__, neighbors)
+    lo_i, hi_i = min(i for i, _ in kept) - 1, max(i for i, _ in kept) + 1
+    lo_j, hi_j = min(j for _, j in kept) - 1, max(j for _, j in kept) + 1
+
+    def free(c):
+        return lo_i <= c[0] <= hi_i and lo_j <= c[1] <= hi_j and c not in kept
+
+    outside = _flood((lo_i, lo_j), free, complement)
+    return {(i, j) for i in range(lo_i, hi_i + 1) for j in range(lo_j, hi_j + 1)} - outside
+
+
 def labels_by_removal(g: ci.Graph, removed) -> tuple[list[int], int]:
     """(component label per vertex, count) of g minus the removed edges.
 

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutindex as ci
 from cutindex.chem import _assemble, c4c8_theta_partition
@@ -12,6 +14,7 @@ from cutindex.cli import main
 from helpers import (
     all_benzenoid_cellsets,
     all_c4c8_cellsets,
+    bounded_cells,
     cell_set_error,
     chain_walk_classes,
     check_partition_store,
@@ -473,9 +476,83 @@ def test_report_rejects_classes_not_one_per_quotient_edge(monkeypatch, tmp_path,
         ci.c4c8_report(spec)
     path = tmp_path / "s.cells"
     path.write_text("t benzenoid\nc 0 0\nc 1 0\nc 0 1\n")
-    argv = ["index", str(path), "--method", "partition", "--partition", "direction"]
+    # Only the cut table reads the classes; the indices alone come from runs.
+    argv = ["index", str(path), "--method", "partition", "--partition", "direction", "--verbose"]
     assert main(argv) == 3
     assert expected in capsys.readouterr().err
+
+
+def test_run_indices_equal_the_report_on_all_small_cell_sets():
+    # Every valid cell set of up to six cells, of both kinds.
+    counts = Counter()
+    families = ((ci.C4C8Spec, all_c4c8_cellsets(6)), (ci.BenzenoidSpec, all_benzenoid_cellsets(6)))
+    for spec_type, sets in families:
+        for cells in sets:
+            if cell_set_error(cells, spec_type._NEIGHBORS, spec_type._COMPLEMENT, spec_type._KIND):
+                continue
+            spec = spec_type(cells)
+            assert ci.c4c8_indices(spec) == ci.c4c8_report(spec)[:2], sorted(cells)
+            counts[spec_type._KIND] += 1
+    assert counts == {"C4C8": 307, "benzenoid": 1058}
+
+
+# (0, 0) and (1, 1) meet at a corner only, (1, 0) and (0, 1) being absent.
+_PINCH = ((0, 0), (-1, 0), (-1, 1), (-1, 2), (0, 2), (1, 2), (1, 1))
+
+
+@st.composite
+def _cell_systems(draw):
+    """A spec type and a valid cell set of it, built from ladders, pinches and blobs.
+
+    A ladder of full 2 x 2 blocks along a diagonal makes long diagonal runs;
+    dropping a few cells afterwards breaks some of its blocks.
+    """
+    spec_type = draw(st.sampled_from([ci.C4C8Spec, ci.BenzenoidSpec]))
+    pieces = st.tuples(
+        st.sampled_from(["ladder", "pinch", "blob"]), st.integers(-4, 4), st.integers(-4, 4),
+        st.integers(1, 8), st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+    )
+    cells = set()
+    for shape, x, y, n, si, sj in draw(st.lists(pieces, min_size=1, max_size=5)):
+        if shape == "ladder":
+            part = {(t + di, t + dj) for t in range(n) for di in (0, 1) for dj in (0, 1)}
+        elif shape == "pinch":
+            part = set(_PINCH)
+        else:
+            part = {(t % 3, t // 3) for t in range(n)}
+        cells |= {(x + si * i, y + sj * j) for i, j in part}
+    for cell in draw(st.lists(st.sampled_from(sorted(cells)), max_size=4)):
+        if len(cells) > 1:
+            cells.discard(cell)
+    return spec_type, sorted(bounded_cells(cells, spec_type._NEIGHBORS, spec_type._COMPLEMENT))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cell_systems())
+def test_run_indices_equal_the_report_on_drawn_cell_sets(system):
+    # The same set moved by (+2**70, -2**70) takes the object-array grid path.
+    spec_type, cells = system
+    spec = spec_type(cells)
+    far = spec_type([(i + 2**70, j - 2**70) for i, j in cells])
+    assert ci.c4c8_indices(spec) == ci.c4c8_indices(far) == ci.c4c8_report(spec)[:2]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ci.C4C8Spec([(0, 0), (1, 0), (0, 1), (1, 1)]), ci.BenzenoidSpec([(0, 0), (1, 0), (0, 1)])],
+    ids=["c4c8", "benzenoid"],
+)
+def test_run_indices_overflow_as_the_report_does(monkeypatch, spec):
+    # Once with the Wiener index over the limit, once with only the Szeged index over.
+    wiener, szeged, _ = ci.c4c8_report(spec)
+    for limit, over in ((wiener - 1, f"Wiener index {wiener}"), (wiener, f"Szeged index {szeged}")):
+        monkeypatch.setattr("cutindex.core.U64_MAX", limit)
+        texts = []
+        for route in (ci.c4c8_indices, ci.c4c8_report):
+            with pytest.raises(ci.IndexOverflowError) as exc:
+                route(spec)
+            texts.append(str(exc.value))
+        assert texts == [f"{over} exceeds unsigned 64-bit range"] * 2
 
 
 def test_fixture_trees_shape():

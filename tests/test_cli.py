@@ -782,6 +782,46 @@ def test_direction_route_builds_no_cell_or_class_tuples(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("kind", ["c4c8", "benzenoid"])
+def test_direction_indices_come_from_runs_without_the_face_join(tmp_path, monkeypatch, capsys,
+                                                                 kind, as_json):
+    # Without --verbose no graph of the system is built, and the indices are
+    # those of the --verbose run, byte for byte.
+    calls = []
+    for name in ("_face_join", "c4c8_theta_partition"):
+        original = getattr(chem, name)
+        monkeypatch.setattr(chem, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+    text = f"t {kind}\n" + "".join(f"c {i} {j}\n" for i in range(4) for j in range(-3, 0))
+    path = _write(tmp_path, "cells.cells", text + "c 4 -1\nc 4 0\n")
+    argv = ["index", path, "--method", "partition", "--partition", "direction"]
+    argv += ["--json"] if as_json else []
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert calls == []
+    assert main(argv + ["--verbose"]) == 0
+    verbose = capsys.readouterr().out
+    assert calls == ["c4c8_theta_partition", "_face_join"]
+    if as_json:
+        payload = json.loads(verbose)
+        del payload["classes"]
+        assert out == json.dumps(payload) + "\n"
+    else:
+        assert out == "".join(verbose.splitlines(keepends=True)[:2])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_direction_indices_of_a_million_cells_under_1gib(tmp_path):
+    # The face join of this block peaks near 1.5 GB; the runs need no graph.
+    # Its Szeged index is past 2**63, so the total is summed in Python ints.
+    text = "t c4c8\n" + "".join(f"c {i} {j}\n" for i in range(1000) for j in range(1000))
+    path = _write(tmp_path, "block.cells", text)
+    argv = ["index", path, "--method", "partition", "--partition", "direction"]
+    proc = run_under_1gib("-m", "cutindex", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "wiener=12832020666665200\nszeged=16043239351342002800\n"
+
+
 def test_tree_passes_never_build_adjacency(tmp_path, monkeypatch):
     t = ci.VertexEdgeWeightedGraph(ci.build_graph(4, [(0, 1), (1, 2), (1, 3)]), (1, 2, 3, 4), (5, 6, 7))
     ci.tree_cut_rows(t)
