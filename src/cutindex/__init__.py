@@ -59,9 +59,7 @@ from .theta import (
     PartialCube,
     RecognitionWitness,
     ThetaPartition,
-    class_sides,
     recognize_partial_cube,
-    theta_related,
     theta_star_classes,
 )
 from .treedp import szeged_tree_linear, tree_cut_rows, tree_indices, wiener_tree_linear
@@ -89,7 +87,6 @@ __all__ = [
     "c4c8_indices",
     "c4c8_report",
     "c4c8_theta_partition",
-    "class_sides",
     "coarsest_partition",
     "components_after_removal",
     "cut_class_summaries",
@@ -108,7 +105,6 @@ __all__ = [
     "szeged_tree_linear",
     "szeged_via_partition",
     "szeged_weighted",
-    "theta_related",
     "theta_star_classes",
     "tree_cut_rows",
     "tree_indices",

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .chem import (
     DIRECTIONS,
     BenzenoidSpec,
@@ -211,7 +213,7 @@ def cmd_recognize(args) -> int:
     g = _graph_of(*_load_input(args.file))
     result = recognize_partial_cube(g)
     if isinstance(result, PartialCube):
-        sizes = [len(cls) for cls in result.theta.classes]
+        sizes = np.diff(result.theta.bounds).tolist()
         if args.json:
             print(json.dumps({
                 "partial_cube": True,

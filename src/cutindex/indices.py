@@ -35,7 +35,7 @@ from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
 from .core import component_labels, distance_matrix
 from .core import require_connected
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
-from .theta import PartialCube, ThetaPartition, class_sides
+from .theta import PartialCube, ThetaPartition
 
 _INT64_SAFE = 2**62
 
@@ -183,11 +183,12 @@ def indices_from_rows(rows):
 
 
 def cut_class_summaries(pc: PartialCube) -> list[CutRow]:
-    """The cut route's rows: one per Theta class, in class order."""
+    """The cut route's rows, one per Theta class in order: n2 counts the class's set bits."""
+    n = pc.graph.vertex_count
     rows = []
-    for j in range(pc.theta.class_count):
-        n1, n2, size = class_sides(pc, j)
-        rows.append(CutRow(j, size, len(n1), len(n2)))
+    for j, size in enumerate(np.diff(pc.theta.bounds).tolist()):
+        n2 = int(np.count_nonzero(pc.labels[:, j >> 6] & np.uint64(1 << (j & 63))))
+        rows.append(CutRow(j, size, n - n2, n2))
     return rows
 
 

@@ -12,12 +12,13 @@ quotient reader returns CutRows, the row type defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Graph, GraphError, build_graph, component_labels
-from .theta import PartialCube, ThetaPartition, class_sides, recognize_partial_cube
+from .theta import PartialCube, ThetaPartition, recognize_partial_cube
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,7 @@ def quotient_theta_classes(wq: WeightedQuotient) -> list[CutRow]:
 
     rows: list[CutRow] = []
     seen: set[int] = set()
+    total = sum(wq.vertex_weight)
     for t, cls in enumerate(qpc.theta.classes):
         represented = {wq.edge_class[f] for f in cls}
         if len(represented) != 1:
@@ -201,11 +203,8 @@ def quotient_theta_classes(wq: WeightedQuotient) -> list[CutRow]:
             raise GraphError(f"original class {j} represented by two quotient classes")
         seen.add(j)
 
-        n1_set, n2_set, _ = class_sides(qpc, t)
-        n1 = sum(wq.vertex_weight[x] for x in n1_set)
-        n2 = sum(wq.vertex_weight[x] for x in n2_set)
-        if wq.class_anchors[j] not in n1_set:
-            n1, n2 = n2, n1
-        rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cls), n1, n2))
+        bit = qpc.labels[:, t >> 6] & np.uint64(1 << (t & 63)) != 0
+        n2 = sum(compress(wq.vertex_weight, (bit != bit[wq.class_anchors[j]]).tolist()))
+        rows.append(CutRow(j, sum(wq.edge_weight[f] for f in cls), total - n2, n2))
     rows.sort()
     return rows

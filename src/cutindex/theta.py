@@ -12,10 +12,13 @@ vectorised relation row (one edge against all edges) per distinct cut vector
 d(u1,.) - d(v1,.) among its members, as edges with equal cuts have equal
 rows, and the search stops once every edge is assigned; a partial cube thus
 takes one row per class.  Then cut along each class, read off a binary
-coordinate per class, and verify exhaustively with a row-blocked array
-comparison that Hamming distance of the coordinates equals graph distance
-for every vertex pair.  Acceptance therefore comes with a fully checked
-hypercube embedding, and rejection with a machine-checkable witness.
+coordinate per class into one read-only (n, ceil(r/64)) uint64 label matrix
+(bit j % 64 of word j // 64 of row v is v's coordinate for class j), and
+verify exhaustively, by row-blocked XOR and popcount, that Hamming distance
+of the rows equals graph distance for every vertex pair.  Acceptance
+therefore comes with a fully checked hypercube embedding, which the cut and
+quotient rows read by bit column, and rejection with a machine-checkable
+witness.
 
 Classes come back as a ThetaPartition: a label array and one stable-argsort
 grouping of it, which quotients and the direction partition read as
@@ -45,13 +48,6 @@ _HAMMING_BLOCK_CELLS = 1 << 16
 #: Theta* closure takes its members' cut vectors, and evaluates their relation
 #: rows, in blocks of at most this many (member, vertex or edge) cells.
 _THETA_BLOCK_CELLS = 1 << 18
-
-
-def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """Test the relation for two edges given the distance matrix of their graph."""
-    u1, v1 = e1
-    u2, v2 = e2
-    return int(d[u1, u2]) + int(d[v1, v2]) != int(d[u1, v2]) + int(d[v1, u2])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -134,7 +130,7 @@ def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
 
     The relation row of an edge a = (ua, va) against every edge (u, v) is
     s[u] != s[v], where s = d[ua] - d[va] is a's cut vector, with entries -1,
-    0 and 1: it is the four-distance test of theta_related, and edges whose
+    0 and 1: it is the module's four-distance test, and edges whose
     cut vectors agree up to sign have the same row.  Each class starts at the
     smallest unassigned edge and grows breadth-first, every unassigned edge
     that a member's row hits joining it, but a member whose cut vector the
@@ -212,23 +208,34 @@ def _distinct_rows(low: np.ndarray, u: np.ndarray, v: np.ndarray, members: list,
             yield (rows[:, u] != rows[:, v]).any(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialCube:
     """A recognized partial cube: graph, classes, and verified cut labeling.
 
-    labels[v] is an r-bit integer; bit j is v's coordinate for class j, and 0
+    labels, the embedding, is a read-only (n, ceil(r/64)) uint64 array: bit
+    j % 64 of word j // 64 of row v is v's coordinate for class j, and 0
     marks the component of the cut along class j that contains the
-    lower-numbered endpoint of the class's smallest-index edge, so bit j
-    alone gives the two sides of that cut (see class_sides).
+    lower-numbered endpoint of the class's smallest-index edge, so that bit
+    column alone gives the two sides of that cut.  == and hash go by the
+    graph, the classes and the label bytes.
     """
 
     graph: Graph
     theta: ThetaPartition
-    labels: tuple[int, ...]
+    labels: np.ndarray
 
     @property
     def dimension(self) -> int:
         return self.theta.class_count
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.graph, self.theta) == (other.graph, other.theta)
+        return same and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        return hash((self.graph, self.theta, self.labels.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -275,30 +282,29 @@ class RecognitionWitness:
             if isinstance(labels, RecognitionWitness):
                 return False
             u, v = self.pair
-            return (labels[u] ^ labels[v]).bit_count() != int(d[u, v])
+            return int(np.bitwise_count(labels[u] ^ labels[v]).sum()) != int(d[u, v])
         return False
 
 
 def _cut_labelling(g: Graph, theta: ThetaPartition):
-    """Canonical per-vertex coordinates from the class cuts.
+    """Canonical per-vertex coordinates from the class cuts, as PartialCube.labels.
 
-    labels[v] carries bit j for class j, set on the side of the cut away
-    from the lower endpoint of the class's smallest edge.  When some class
-    cut does not leave exactly two components, no labelling is defined and
-    the first such class comes back as a "bad_class_cut" RecognitionWitness
-    instead.
+    Class j's bit is set on the side of its cut away from the lower endpoint
+    of the class's smallest edge.  When some class cut does not leave exactly
+    two components, no labelling is defined and the first such class comes
+    back as a "bad_class_cut" RecognitionWitness instead.
     """
-    n = g.vertex_count
-    labels = [0] * n
-    for j, cls in enumerate(theta.classes):
+    labels = np.zeros((g.vertex_count, -(-theta.class_count // 64)), dtype=np.uint64)
+    bounds = theta.bounds.tolist()
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        cls = theta.order[lo:hi]
         comp, count = component_labels(g, cls)
         if count != 2:
             return RecognitionWitness(
-                kind="bad_class_cut", class_edges=cls, component_count=count
+                kind="bad_class_cut", class_edges=tuple(cls.tolist()), component_count=count
             )
-        bit = 1 << j
-        for x in np.flatnonzero(comp != comp[g.ends[cls[0]].min()]).tolist():
-            labels[x] |= bit
+        labels[comp != comp[g.ends[cls[0]].min()], j >> 6] |= np.uint64(1 << (j & 63))
+    labels.flags.writeable = False
     return labels
 
 
@@ -324,47 +330,27 @@ def recognize_partial_cube(g: Graph, d: np.ndarray | None = None):
     if isinstance(labels, RecognitionWitness):
         return labels
 
-    bad = _hamming_mismatch(labels, theta.class_count, d)
+    bad = _hamming_mismatch(labels, d)
     if bad is not None:
         return RecognitionWitness(kind="hamming_violation", pair=bad)
 
-    return PartialCube(graph=g, theta=theta, labels=tuple(labels))
+    return PartialCube(graph=g, theta=theta, labels=labels)
 
 
-def _hamming_mismatch(labels: list[int], r: int, d: np.ndarray):
+def _hamming_mismatch(labels: np.ndarray, d: np.ndarray):
     """First vertex pair whose label Hamming distance differs from d, if any.
 
-    Pairs are scanned in row-major order.  Labels are split into ceil(r/64)
-    uint64 words, and each block of rows is compared against the same rows
-    of d, so no n x n temporary is built.
+    labels is an (n, words) uint64 label matrix.  Pairs are scanned in
+    row-major order, and each block of rows is compared against the same
+    rows of d, so no n x n temporary is built.
     """
-    n = len(labels)
-    words = max(1, -(-r // 64))
-    packed = np.frombuffer(
-        b"".join(x.to_bytes(8 * words, "little") for x in labels), dtype="<u8"
-    ).reshape(n, words)
+    n, words = labels.shape
     rows = max(1, _HAMMING_BLOCK_CELLS // max(1, n * words))
     for lo in range(0, n, rows):
-        block = packed[lo : lo + rows, None, :] ^ packed[None, :, :]
+        block = labels[lo : lo + rows, None, :] ^ labels[None, :, :]
         ham = np.bitwise_count(block).sum(axis=2, dtype=np.int64)
         bad = np.flatnonzero(ham != d[lo : lo + rows])
         if len(bad):
             u, v = divmod(int(bad[0]), n)
             return lo + u, v
     return None
-
-
-def class_sides(pc: PartialCube, class_index: int):
-    """The two sides of the cut along one class, plus the class size.
-
-    N1 is the side containing the lower-numbered endpoint of the class's
-    smallest-index edge (bit class_index of the label is 0 there); N1 and N2
-    partition the vertex set.
-    """
-    if not 0 <= class_index < pc.theta.class_count:
-        raise GraphError(
-            f"class index {class_index} out of range [0,{pc.theta.class_count})"
-        )
-    n2 = frozenset(v for v, x in enumerate(pc.labels) if x >> class_index & 1)
-    n1 = frozenset(range(pc.graph.vertex_count)) - n2
-    return n1, n2, len(pc.theta.classes[class_index])

@@ -95,6 +95,42 @@ def relabelled(g: ci.Graph, rng) -> ci.Graph:
     return ci.build_graph(g.vertex_count, edges)
 
 
+def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    """Test the relation for two edges given the distance matrix of their graph."""
+    u1, v1 = e1
+    u2, v2 = e2
+    return int(d[u1, u2]) + int(d[v1, v2]) != int(d[u1, v2]) + int(d[v1, u2])
+
+
+def pack_labels(labels, r: int) -> np.ndarray:
+    """r-bit Python ints as an (n, ceil(r/64)) uint64 label matrix, bit j in word j // 64."""
+    words = -(-r // 64)
+    rows = [[x >> 64 * w & (1 << 64) - 1 for w in range(words)] for x in labels]
+    return np.array(rows, dtype=np.uint64).reshape(len(labels), words)
+
+
+def label_ints(pc: ci.PartialCube) -> list[int]:
+    """pc.labels unpacked to one Python int per vertex, class j in bit j."""
+    return [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in pc.labels]
+
+
+def class_sides(pc: ci.PartialCube, class_index: int):
+    """The two sides of the cut along one class, plus the class size.
+
+    N1 is the side containing the lower-numbered endpoint of the class's
+    smallest-index edge (bit class_index of the label is 0 there); N1 and N2
+    partition the vertex set.
+    """
+    if not 0 <= class_index < pc.theta.class_count:
+        raise ci.GraphError(
+            f"class index {class_index} out of range [0,{pc.theta.class_count})"
+        )
+    word, bit = divmod(class_index, 64)
+    n2 = frozenset(np.flatnonzero(pc.labels[:, word] >> np.uint64(bit) & np.uint64(1)).tolist())
+    n1 = frozenset(range(pc.graph.vertex_count)) - n2
+    return n1, n2, len(pc.theta.classes[class_index])
+
+
 def theta_closure_by_pairs(g: ci.Graph) -> tuple[tuple, tuple]:
     """Transitive closure of theta_related as (classes, class_of).
 
@@ -113,7 +149,7 @@ def theta_closure_by_pairs(g: ci.Graph) -> tuple[tuple, tuple]:
 
     for a in range(m):
         for b in range(a + 1, m):
-            if ci.theta_related(d, g.edges[a], g.edges[b]):
+            if theta_related(d, g.edges[a], g.edges[b]):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)

@@ -17,6 +17,7 @@ import cutindex as ci
 from cutindex.chem import c4c8_theta_partition
 from helpers import (
     all_c4c8_cellsets,
+    class_sides,
     cycle,
     hypercube,
     path,
@@ -116,7 +117,7 @@ def sweep():
                     pytest.fail(f"{name}: quotient {i} not a partial cube: {exc}")
                 quotients += 1
                 for j, size, n1, n2 in rows:
-                    side1, side2, class_size = ci.class_sides(pc, j)
+                    side1, side2, class_size = class_sides(pc, j)
                     assert size == class_size, name
                     assert (n1, n2) == (len(side1), len(side2)), name
                     classes_transferred += 1

@@ -3,7 +3,14 @@ import random
 import pytest
 
 import cutindex as ci
-from helpers import cycle, folded_quotient, hypercube, random_coarser, random_tree
+from helpers import (
+    class_sides,
+    cycle,
+    folded_quotient,
+    hypercube,
+    random_coarser,
+    random_tree,
+)
 
 
 def _theta(g):
@@ -88,7 +95,7 @@ def test_finest_grouping_matches_class_sides():
     cp = ci.finest_partition(pc.theta)
     for j in range(pc.dimension):
         wq = ci.quotient_by_edge_classes(pc.graph, pc.theta, cp.groups[j])
-        n1, n2, size = ci.class_sides(pc, j)
+        n1, n2, size = class_sides(pc, j)
         assert ci.quotient_theta_classes(wq) == [ci.CutRow(j, size, len(n1), len(n2))]
 
 
@@ -107,7 +114,7 @@ def test_quotients_are_partial_cubes_and_transfer_is_exact():
                 rows = ci.quotient_theta_classes(wq)
                 assert [row.class_index for row in rows] == list(cp.groups[i])
                 for j, size, n1, n2 in rows:
-                    side1, side2, class_size = ci.class_sides(pc, j)
+                    side1, side2, class_size = class_sides(pc, j)
                     assert (size, n1, n2) == (class_size, len(side1), len(side2))
                     seen_classes.add(j)
             assert seen_classes == set(range(pc.dimension))

@@ -35,7 +35,7 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert len(set(ci.__all__)) == len(ci.__all__)
     for name in ci.__all__:
         assert hasattr(ci, name), name
-    for name in ("build_quotient", "reference_quotient_trees"):
+    for name in ("build_quotient", "reference_quotient_trees", "class_sides", "theta_related"):
         assert name not in ci.__all__ and not hasattr(ci, name)
     for owner, name in [
         (quotient, "build_quotient"),
@@ -43,6 +43,8 @@ def test_all_names_resolve_and_removed_names_are_gone():
         (files, "parse_graph_file"),
         (files, "parse_cell_file"),
         (theta.PartialCube, "label_string"),
+        (theta, "class_sides"),
+        (theta, "theta_related"),
         (core.Graph, "degree"),
         (quotient.CoarserPartition, "group_count"),
     ]:

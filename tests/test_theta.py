@@ -8,10 +8,13 @@ import pytest
 import cutindex as ci
 from cutindex import theta as theta_module
 from helpers import (
+    class_sides,
     complete,
     cycle,
     hypercube,
     hypercube_near_miss,
+    label_ints,
+    pack_labels,
     path,
     petersen,
     random_benzenoid,
@@ -20,6 +23,7 @@ from helpers import (
     check_partition_store,
     relabelled,
     theta_closure_by_pairs,
+    theta_related,
 )
 
 
@@ -31,23 +35,23 @@ def test_from_classes_rejects_an_empty_class():
 
 def test_theta_related_c4():
     d = ci.distance_matrix(cycle(4))
-    assert ci.theta_related(d, (0, 1), (2, 3))  # opposite: 2+2 != 1+1
-    assert not ci.theta_related(d, (0, 1), (1, 2))  # adjacent: 1+1 == 2+0
-    assert ci.theta_related(d, (0, 1), (0, 1))  # reflexive: 0+0 != 1+1
+    assert theta_related(d, (0, 1), (2, 3))  # opposite: 2+2 != 1+1
+    assert not theta_related(d, (0, 1), (1, 2))  # adjacent: 1+1 == 2+0
+    assert theta_related(d, (0, 1), (0, 1))  # reflexive: 0+0 != 1+1
 
 
 def test_theta_related_symmetric():
     g = hypercube(3)
     d = ci.distance_matrix(g)
     for e, f in itertools.combinations(g.edges, 2):
-        assert ci.theta_related(d, e, f) == ci.theta_related(d, f, e)
+        assert theta_related(d, e, f) == theta_related(d, f, e)
 
 
 def test_tree_classes_are_singletons():
     g = path(4)
     d = ci.distance_matrix(g)
     for e, f in itertools.combinations(g.edges, 2):
-        assert not ci.theta_related(d, e, f)
+        assert not theta_related(d, e, f)
     tp = ci.theta_star_classes(g)
     assert tp.classes == ((0,), (1,), (2,))
 
@@ -74,7 +78,7 @@ def test_theta_star_matches_pairwise_union_on_random_graphs():
     d = ci.distance_matrix(g)
     tp = ci.theta_star_classes(g)
     for e, f in itertools.combinations(range(g.edge_count), 2):
-        related = ci.theta_related(d, g.edges[e], g.edges[f])
+        related = theta_related(d, g.edges[e], g.edges[f])
         if related:
             assert tp.class_of[e] == tp.class_of[f]
 
@@ -89,11 +93,12 @@ def test_recognize_q3():
     pc = ci.recognize_partial_cube(g)
     assert isinstance(pc, ci.PartialCube)
     assert pc.dimension == 3
-    assert all(0 <= lab < 8 for lab in pc.labels)
+    labels = label_ints(pc)
+    assert all(0 <= lab < 8 for lab in labels)
     # exhaustive independent Hamming check over all 28 pairs
     d = ci.distance_matrix(g)
     for u, v in itertools.combinations(range(8), 2):
-        assert bin(pc.labels[u] ^ pc.labels[v]).count("1") == d[u, v]
+        assert bin(labels[u] ^ labels[v]).count("1") == d[u, v]
 
 
 def test_recognize_k23_rejected_with_verifiable_witness():
@@ -153,27 +158,58 @@ def test_cross_class_pairs_unrelated_on_accepted_graphs():
         d = ci.distance_matrix(g)
         for e, f in itertools.combinations(range(g.edge_count), 2):
             if pc.theta.class_of[e] != pc.theta.class_of[f]:
-                assert not ci.theta_related(d, g.edges[e], g.edges[f])
+                assert not theta_related(d, g.edges[e], g.edges[f])
 
 
 def test_label_coordinate_matches_cut_component():
-    g = hypercube(3)
-    pc = ci.recognize_partial_cube(g)
-    for j, cls in enumerate(pc.theta.classes):
-        comps = ci.components_after_removal(g, cls)
-        assert len(comps) == 2
-        a, b = g.edges[cls[0]]
-        zero_comp = next(c for c in comps if min(a, b) in c)
-        for x in range(g.vertex_count):
-            bit = pc.labels[x] >> j & 1
-            assert (x in zero_comp) == (bit == 0)
+    # Q3, then r = 64, 65, 99 and 199: one to four label words
+    graphs = [hypercube(3), path(65), path(66), path(100)]
+    graphs.append(random_tree(random.Random(200), 200))
+    for g in graphs:
+        pc = ci.recognize_partial_cube(g)
+        r = pc.dimension
+        assert pc.labels.shape == (g.vertex_count, -(-r // 64))
+        assert pc.labels.dtype == np.uint64
+        assert not pc.labels.flags.writeable
+        labels = label_ints(pc)
+        for j, cls in enumerate(pc.theta.classes):
+            comps = ci.components_after_removal(g, cls)
+            assert len(comps) == 2
+            a, b = g.edges[cls[0]]
+            zero_comp = next(c for c in comps if min(a, b) in c)
+            for x in range(g.vertex_count):
+                bit = labels[x] >> j & 1
+                assert (x in zero_comp) == (bit == 0)
+        assert all(lab >> r == 0 for lab in labels)
+        d = ci.distance_matrix(g)
+        for u, v in itertools.combinations(range(g.vertex_count), 2):
+            assert bin(labels[u] ^ labels[v]).count("1") == d[u, v]
+
+
+def test_partial_cube_compares_and_hashes_by_value():
+    rng = random.Random(5)
+    g = relabelled(hypercube(4), rng)
+    pc, again = ci.recognize_partial_cube(g), ci.recognize_partial_cube(g)
+    assert pc is not again and pc.labels is not again.labels
+    assert pc == again and hash(pc) == hash(again)
+    other = ci.recognize_partial_cube(relabelled(g, rng))
+    assert isinstance(other, ci.PartialCube)
+    assert pc != other
+    assert pc.__eq__(object()) is NotImplemented
+
+
+def test_cut_route_builds_no_class_tuples():
+    pc = ci.recognize_partial_cube(relabelled(hypercube(5), random.Random(9)))
+    rows = ci.cut_class_summaries(pc)
+    assert [row.size for row in rows] == [16] * 5
+    assert "classes" not in pc.theta.__dict__
 
 
 def test_side_counts_partition_vertices():
     for g in (hypercube(4), cycle(8)):
         pc = ci.recognize_partial_cube(g)
         for j in range(pc.dimension):
-            n1, n2, size = ci.class_sides(pc, j)
+            n1, n2, size = class_sides(pc, j)
             assert len(n1) + len(n2) == g.vertex_count
             assert not (n1 & n2)
             assert size == len(pc.theta.classes[j])
@@ -181,19 +217,19 @@ def test_side_counts_partition_vertices():
 
 def test_class_sides_examples():
     k2 = ci.recognize_partial_cube(ci.build_graph(2, [(0, 1)]))
-    assert ci.class_sides(k2, 0) == (frozenset({0}), frozenset({1}), 1)
+    assert class_sides(k2, 0) == (frozenset({0}), frozenset({1}), 1)
 
     c4 = ci.recognize_partial_cube(cycle(4))
-    n1, n2, size = ci.class_sides(c4, 0)
+    n1, n2, size = class_sides(c4, 0)
     assert (len(n1), len(n2), size) == (2, 2, 2)
     assert 0 in n1  # anchor: lower endpoint of smallest-index class edge
 
     q3 = ci.recognize_partial_cube(hypercube(3))
     for j in range(3):
-        n1, n2, size = ci.class_sides(q3, j)
+        n1, n2, size = class_sides(q3, j)
         assert (len(n1), len(n2), size) == (4, 4, 4)
     with pytest.raises(ci.GraphError):
-        ci.class_sides(q3, 3)
+        class_sides(q3, 3)
 
 
 def _q3_minus_top():
@@ -257,13 +293,13 @@ def test_hamming_mismatch_helper():
     from cutindex.theta import _hamming_mismatch
 
     d = ci.distance_matrix(path(3))
-    assert _hamming_mismatch([0b00, 0b01, 0b11], 2, d) is None
-    assert _hamming_mismatch([0b00, 0b01, 0b00], 2, d) == (0, 2)
-    # wide-label path (pure python branch)
+    assert _hamming_mismatch(pack_labels([0b00, 0b01, 0b11], 2), d) is None
+    assert _hamming_mismatch(pack_labels([0b00, 0b01, 0b00], 2), d) == (0, 2)
+    # wide labels: two words per row
     labels = [0, 1 << 70, (1 << 70) | (1 << 71)]
-    assert _hamming_mismatch(labels, 72, d) is None
+    assert _hamming_mismatch(pack_labels(labels, 72), d) is None
     labels[2] = 0
-    assert _hamming_mismatch(labels, 72, d) == (0, 2)
+    assert _hamming_mismatch(pack_labels(labels, 72), d) == (0, 2)
 
 
 def _closure_cases():
@@ -376,7 +412,7 @@ def test_hamming_mismatch_matches_scalar_scan(monkeypatch, r, block_cells):
         exact = np.array(
             [[bin(a ^ b).count("1") for b in labels] for a in labels], dtype=np.int32
         )
-        assert theta_module._hamming_mismatch(labels, r, exact) is None
+        assert theta_module._hamming_mismatch(pack_labels(labels, r), exact) is None
 
         symmetric = exact.copy()
         for _ in range(rng.randint(1, 3)):
@@ -384,15 +420,15 @@ def test_hamming_mismatch_matches_scalar_scan(monkeypatch, r, block_cells):
             symmetric[u, v] = symmetric[v, u] = exact[u, v] + rng.choice((-1, 1))
         expected = _first_mismatch_scalar(labels, symmetric)
         assert expected is not None
-        assert theta_module._hamming_mismatch(labels, r, symmetric) == expected
+        assert theta_module._hamming_mismatch(pack_labels(labels, r), symmetric) == expected
 
         lower = exact.copy()
         u, v = sorted(rng.sample(range(n), 2), reverse=True)
         lower[u, v] += 1  # below the diagonal only
-        assert theta_module._hamming_mismatch(labels, r, lower) == (u, v)
+        assert theta_module._hamming_mismatch(pack_labels(labels, r), lower) == (u, v)
 
         flipped = list(labels)
         flipped[rng.randrange(n)] ^= 1 << rng.randrange(r)
         expected = _first_mismatch_scalar(flipped, exact)
         assert expected is not None
-        assert theta_module._hamming_mismatch(flipped, r, exact) == expected
+        assert theta_module._hamming_mismatch(pack_labels(flipped, r), exact) == expected
