@@ -17,7 +17,6 @@ from .chem import (
     c4c8_report,
     c4c8_theta_partition,
     direction_partition,
-    direction_tag,
 )
 from .core import (
     UNREACHABLE,
@@ -91,7 +90,6 @@ __all__ = [
     "components_after_removal",
     "cut_class_summaries",
     "direction_partition",
-    "direction_tag",
     "distance_matrix",
     "finest_partition",
     "indices_from_rows",

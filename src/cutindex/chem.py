@@ -72,18 +72,8 @@ _HEX_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 DIRECTIONS = ("H", "V", "D+", "D-")
 
 
-def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
-    """Direction of the segment p-q: H, V, D+ (slope +1) or D- (slope -1)."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if dy == 0:
-        return "H"
-    if dx == 0:
-        return "V"
-    return "D+" if dx * dy > 0 else "D-"
-
-
 def _direction_codes(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """The DIRECTIONS code of each displacement, as direction_tag names it."""
+    """The DIRECTIONS code of each displacement: H, V, D+ (slope +1) or D- (slope -1)."""
     code = np.full(len(dx), DIRECTIONS.index("D-"), dtype=np.int8)
     code[(dx > 0) == (dy > 0)] = DIRECTIONS.index("D+")
     code[dx == 0] = DIRECTIONS.index("V")

@@ -13,19 +13,22 @@ Cell files:
     t c4c8 | t benzenoid
     c <i> <j>          one cell per line
 
-A plain graph file (ASCII, header first, then only e/wv/we records, single
-spaces, LF line ends, numbers of at most 18 digits) is read by one NumPy
-pass over its bytes, which hands build_graph an (m, 2) int64 edge array and
-builds no per-edge tuple (_parse_graph_arrays).  A plain cell file (its type
-line first, then only 'c <i> <j>' lines, single spaces, LF line ends,
-coordinates of at most 18 digits, a '-' allowed before each, no cell twice)
-is read the same way into an (n, 2) int64 cell array (_parse_cell_arrays).
-Anything else, and any plain file with a fault, goes to the line-by-line
-parser of its kind, which owns every ParseError: its texts and line numbers
-are the same whichever path a file would have taken.  Both graph parsers
-keep the weight lines as arrays, and GraphFileData scatters them into one
-int64 vector per kind (Python ints only for a kind with a weight past
-int64), so tree-index builds no per-vertex object.
+Both kinds have a plain form, read by one NumPy pass over its bytes
+(_plain_lines) with no per-line Python object.  A plain file is ASCII,
+and all its lines but a cell file's type line are plain lines: '<tag>
+<int> <int>', single spaces, an LF at the end, numbers of at most 18
+digits.  Each kind keeps its own tags, header and sign rule.  A plain
+graph file has 'p <n> <m>' first, then e, wv and we lines, no '-', and
+gives build_graph an (m, 2) int64 edge array (_parse_graph_arrays).
+A plain cell file has 't c4c8' or 't benzenoid' first, then at least one
+'c <i> <j>' line, a '-' allowed before each coordinate and no cell twice,
+and gives an (n, 2) int64 cell array (_parse_cell_arrays).  Anything else,
+and any plain file with a fault, goes to the line-by-line parser of its
+kind, which owns every ParseError: its texts and line numbers are the same
+whichever path a file would have taken.  Both graph parsers keep the
+weight lines as arrays, and GraphFileData scatters them into one int64
+vector per kind (Python ints only for a kind with a weight past int64),
+so tree-index builds no per-vertex object.
 """
 
 from __future__ import annotations
@@ -126,35 +129,32 @@ class GraphFileData:
 #: Longest digit run the array path reads; 18 digits always fit int64.
 _ARRAY_MAX_DIGITS = 18
 
-_E, _W, _V, _SPACE, _NEWLINE = b"ewv \n"
+_C, _E, _P, _W, _V, _SPACE, _MINUS, _NEWLINE = b"cepwv -\n"
 
 #: Record codes of the array path.
 _HEADER, _EDGE, _VERTEX_WEIGHT, _EDGE_WEIGHT = range(4)
 
 
-def _plain_records(text: str):
-    """(first field, second field, record code) per line, as arrays, or None.
+def _plain_lines(raw: bytes, signed: bool):
+    """(line starts, tag widths, (k, 2) int64 values) of k plain lines, or None.
 
-    A plain file is ASCII; its first line is 'p <n> <m>' and every later
-    line 'e|wv|we <int> <int>', with single spaces, an LF at the end of
-    every line and at most _ARRAY_MAX_DIGITS digits per number.  The text
-    is read as one byte array: digit runs come from the flips of the digit
-    mask, the layout from run and newline positions, and the values one
-    digit column at a time, so no array is larger than the text or the run
+    Every plain line is '<tag> <int> <int>' and an LF, with single spaces,
+    at most _ARRAY_MAX_DIGITS digits per number and a '-' before a number
+    only if signed; the tags hold no digit and are left to the caller.  The
+    bytes are read as one array: digit runs come from the flips of the
+    digit mask, the layout from run and newline positions, and the values
+    one digit column at a time, so no array is larger than raw or the run
     count.
     """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if not (raw.startswith(b"p") and raw.endswith(b"\n")):
+    if not raw.endswith(b"\n"):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
 
-    # Both ends of the text are non-digits, so the flips alternate run
-    # start, run stop.  A plain line holds two runs, the second ending at
-    # its newline and the first one space before the second; before the
-    # first come a one- or two-letter tag and a space.
+    # raw ends in an LF, so the flip count is odd if raw starts with a digit;
+    # otherwise the flips alternate run start, run stop.  A plain line holds
+    # two runs, the second ending at its newline and the first one space
+    # before the second's sign; before the first's sign come the tag and a
+    # space.
     flips = np.flatnonzero(np.diff(b - np.uint8(48) < 10))
     flips += 1
     newlines = np.flatnonzero(b == _NEWLINE)
@@ -162,29 +162,19 @@ def _plain_records(text: str):
         return None
     starts, stops = flips[0::2], flips[1::2]
     width = stops - starts
-    s0, e0, s1, e1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
+    signs = starts - (b[starts - 1] == _MINUS) if signed else starts
     if not (
-        np.array_equal(e1, newlines)
-        and np.array_equal(s1, e0 + 1)
-        and (b[e0] == _SPACE).all()
-        and (b[s0 - 1] == _SPACE).all()
+        np.array_equal(stops[1::2], newlines)
+        and np.array_equal(signs[1::2], stops[0::2] + 1)
+        and (b[stops[0::2]] == _SPACE).all()
+        and (b[signs[0::2] - 1] == _SPACE).all()
         and width.max() <= _ARRAY_MAX_DIGITS
     ):
         return None
     line_starts = np.concatenate(([0], newlines[:-1] + 1))
-    tag = s0 - 1 - line_starts
-    first, second = b[line_starts], b[line_starts + 1]
-    weight = (tag == 2) & (first == _W)
-    code = np.full(len(tag), -1, dtype=np.int8)
-    code[(tag == 1) & (first == _E)] = _EDGE
-    code[weight & (second == _V)] = _VERTEX_WEIGHT
-    code[weight & (second == _E)] = _EDGE_WEIGHT
-    code[0] = _HEADER if tag[0] == 1 else -1  # the text starts with 'p'
-    if (code < 0).any():
-        return None
-
     values = _run_values(b, stops, width)
-    return values[0::2], values[1::2], code
+    values[signs < starts] *= -1
+    return line_starts, signs[0::2] - 1 - line_starts, values.reshape(-1, 2)
 
 
 def _run_values(b: np.ndarray, stops: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -206,19 +196,33 @@ def _run_values(b: np.ndarray, stops: np.ndarray, width: np.ndarray) -> np.ndarr
 
 
 def _parse_graph_arrays(text: str) -> GraphFileData | None:
-    """The parse of a plain graph file (see _plain_records), or None.
+    """The parse of a plain graph file, or None.
 
-    None also covers every plain file the line parser would reject or must
-    judge: counts over MAX_COUNT, a wrong e-line count, a weight index out
-    of range or repeated, any edge build_graph refuses.  So the line parser
-    owns every error.
+    A plain graph file is ASCII plain lines (see _plain_lines), unsigned:
+    'p <n> <m>' first, then only e, wv and we lines.  None also covers
+    every plain file the line parser would reject or must judge: counts
+    over MAX_COUNT, a wrong e-line count, a weight index out of range or
+    repeated, any edge build_graph refuses.  So the line parser owns every
+    error.
     """
-    records = _plain_records(text)
-    if records is None:
+    if not text.isascii():
         return None
-    heads, tails, code = records
+    raw = text.encode("ascii")
+    lines = _plain_lines(raw, signed=False)
+    if lines is None:
+        return None
+    line_starts, tag, values = lines
+    b = np.frombuffer(raw, dtype=np.uint8)
+    first, second = b[line_starts], b[line_starts + 1]
+    weight = (tag == 2) & (first == _W)
+    code = np.full(len(tag), -1, dtype=np.int8)
+    code[(tag == 1) & (first == _E)] = _EDGE
+    code[weight & (second == _V)] = _VERTEX_WEIGHT
+    code[weight & (second == _E)] = _EDGE_WEIGHT
+    code[0] = _HEADER if tag[0] == 1 and first[0] == _P else -1
+    heads, tails = values.T
     n, m = int(heads[0]), int(tails[0])
-    if n > MAX_COUNT or m > MAX_COUNT or np.count_nonzero(code == _EDGE) != m:
+    if (code < 0).any() or n > MAX_COUNT or m > MAX_COUNT or np.count_nonzero(code == _EDGE) != m:
         return None
     weight_lines = []
     for kind, limit in ((_VERTEX_WEIGHT, n), (_EDGE_WEIGHT, m)):
@@ -228,9 +232,8 @@ def _parse_graph_arrays(text: str) -> GraphFileData | None:
         if idx.size and (ordered[-1] >= limit or (ordered[1:] == ordered[:-1]).any()):
             return None
         weight_lines.append((idx, tails[code == kind]))
-    edges = code == _EDGE
     try:
-        graph = build_graph(n, np.stack((heads[edges], tails[edges]), axis=1))
+        graph = build_graph(n, values.compress(code == _EDGE, axis=0))
     except GraphError:
         return None
     return GraphFileData(graph, *weight_lines)
@@ -339,59 +342,25 @@ def parse_cell_text(text: str) -> tuple[str, np.ndarray | list[tuple[int, int]]]
 
 
 _CELL_KINDS = {b"t c4c8": "c4c8", b"t benzenoid": "benzenoid"}
-_C, _MINUS = b"c-"
 
 
 def _parse_cell_arrays(text: str) -> tuple[str, np.ndarray] | None:
     """(kind, cells) of a plain cell file, or None.
 
-    A plain cell file is ASCII; its first line is 't c4c8' or 't benzenoid'
-    and every later line 'c <i> <j>', with single spaces, an optional '-'
-    before each coordinate, an LF at the end of every line, at most
-    _ARRAY_MAX_DIGITS digits per coordinate and at least one cell.  The
-    body is read as one byte array, as _plain_records reads a graph file;
-    a file that repeats a cell is left to the line parser, which names it.
+    A plain cell file is ASCII: 't c4c8' or 't benzenoid', an LF, then at
+    least one signed plain line (see _plain_lines), each 'c <i> <j>'.  A
+    file that repeats a cell is left to the line parser, which names it.
     """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
+    if not text.isascii():
         return None
-    head, _, body = raw.partition(b"\n")
+    head, _, body = text.encode("ascii").partition(b"\n")
     kind = _CELL_KINDS.get(head)
-    if kind is None or not (body.startswith(b"c") and body.endswith(b"\n")):
+    lines = _plain_lines(body, signed=True) if kind is not None else None
+    if lines is None:
         return None
-    b = np.frombuffer(body, dtype=np.uint8)
-
-    # As in _plain_records, the flips alternate run start, run stop, and a
-    # plain line holds two runs, the second ending at its newline.  Before
-    # the first come 'c', a space and maybe '-'; between the two, a space
-    # and maybe '-'.
-    flips = np.flatnonzero(np.diff(b - np.uint8(48) < 10))
-    flips += 1
-    newlines = np.flatnonzero(b == _NEWLINE)
-    if len(flips) != 4 * len(newlines):
+    line_starts, tag, values = lines
+    if (tag != 1).any() or (np.frombuffer(body, dtype=np.uint8)[line_starts] != _C).any():
         return None
-    starts, stops = flips[0::2], flips[1::2]
-    width = stops - starts
-    s0, e0, s1, e1 = starts[0::2], stops[0::2], starts[1::2], stops[1::2]
-    line_starts = np.concatenate(([0], newlines[:-1] + 1))
-    minus0 = s0 - line_starts == 3
-    minus1 = s1 - e0 == 2
-    if not (
-        np.array_equal(e1, newlines)
-        and (b[line_starts] == _C).all()
-        and (b[line_starts + 1] == _SPACE).all()
-        and (minus0 | (s0 - line_starts == 2)).all()
-        and (b[s0[minus0] - 1] == _MINUS).all()
-        and (minus1 | (s1 - e0 == 1)).all()
-        and (b[e0] == _SPACE).all()
-        and (b[s1[minus1] - 1] == _MINUS).all()
-        and width.max() <= _ARRAY_MAX_DIGITS
-    ):
-        return None
-    values = _run_values(b, stops, width).reshape(-1, 2)
-    values[minus0, 0] *= -1
-    values[minus1, 1] *= -1
     ordered = values[np.lexsort(values.T)]
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         return None

@@ -275,13 +275,16 @@ class RecognitionWitness:
             count = len(components_after_removal(g, self.class_edges))
             return count == self.component_count and count != 2
         if self.kind == "hamming_violation":
-            if self.pair is None:
+            pair = self.pair
+            if pair is None or len(pair) != 2:
+                return False
+            if not all(isinstance(x, int) and 0 <= x < g.vertex_count for x in pair):
                 return False
             d = distance_matrix(g)
             labels = _cut_labelling(g, theta_star_classes(g, d))
             if isinstance(labels, RecognitionWitness):
                 return False
-            u, v = self.pair
+            u, v = pair
             return int(np.bitwise_count(labels[u] ^ labels[v]).sum()) != int(d[u, v])
         return False
 

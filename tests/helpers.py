@@ -102,6 +102,16 @@ def theta_related(d: np.ndarray, e1: tuple[int, int], e2: tuple[int, int]) -> bo
     return int(d[u1, u2]) + int(d[v1, v2]) != int(d[u1, v2]) + int(d[v1, u2])
 
 
+def direction_tag(p: tuple[int, int], q: tuple[int, int]) -> str:
+    """Direction of the segment p-q: H, V, D+ (slope +1) or D- (slope -1)."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    if dy == 0:
+        return "H"
+    if dx == 0:
+        return "V"
+    return "D+" if dx * dy > 0 else "D-"
+
+
 def pack_labels(labels, r: int) -> np.ndarray:
     """r-bit Python ints as an (n, ceil(r/64)) uint64 label matrix, bit j in word j // 64."""
     words = -(-r // 64)

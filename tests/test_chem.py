@@ -18,6 +18,7 @@ from helpers import (
     cell_set_error,
     chain_walk_classes,
     check_partition_store,
+    direction_tag,
     face_join_reference,
     label_ints,
     random_benzenoid,
@@ -565,11 +566,11 @@ def test_fixture_trees_shape():
 
 
 def test_direction_tag():
-    assert ci.direction_tag((0, 0), (2, 0)) == "H"
-    assert ci.direction_tag((0, 0), (0, 2)) == "V"
-    assert ci.direction_tag((0, 0), (1, 1)) == "D+"
-    assert ci.direction_tag((1, 1), (0, 0)) == "D+"
-    assert ci.direction_tag((0, 1), (1, 0)) == "D-"
+    assert direction_tag((0, 0), (2, 0)) == "H"
+    assert direction_tag((0, 0), (0, 2)) == "V"
+    assert direction_tag((0, 0), (1, 1)) == "D+"
+    assert direction_tag((1, 1), (0, 0)) == "D+"
+    assert direction_tag((0, 1), (1, 0)) == "D-"
 
 
 def test_direction_codes_name_each_edge_as_direction_tag_does():
@@ -579,4 +580,4 @@ def test_direction_codes_name_each_edge_as_direction_tag_does():
     specs += [random_c4c8(rng, 12) for _ in range(5)] + [random_benzenoid(rng, 12) for _ in range(5)]
     for spec in specs:
         g, tags, coords = (ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid)(spec)
-        assert _names(tags) == [ci.direction_tag(coords[u], coords[v]) for u, v in g.edges]
+        assert _names(tags) == [direction_tag(coords[u], coords[v]) for u, v in g.edges]

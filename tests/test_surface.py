@@ -35,11 +35,18 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert len(set(ci.__all__)) == len(ci.__all__)
     for name in ci.__all__:
         assert hasattr(ci, name), name
-    for name in ("build_quotient", "reference_quotient_trees", "class_sides", "theta_related"):
+    for name in (
+        "build_quotient",
+        "reference_quotient_trees",
+        "class_sides",
+        "theta_related",
+        "direction_tag",
+    ):
         assert name not in ci.__all__ and not hasattr(ci, name)
     for owner, name in [
         (quotient, "build_quotient"),
         (chem, "reference_quotient_trees"),
+        (chem, "direction_tag"),
         (files, "parse_graph_file"),
         (files, "parse_cell_file"),
         (theta.PartialCube, "label_string"),

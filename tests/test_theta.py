@@ -13,6 +13,7 @@ from helpers import (
     cycle,
     hypercube,
     hypercube_near_miss,
+    indices_by_definition,
     label_ints,
     pack_labels,
     path,
@@ -273,6 +274,44 @@ def test_fabricated_witnesses_fail_verification():
     assert not ci.RecognitionWitness(
         kind="bad_class_cut", class_edges=(0, 1), component_count=3
     ).verify(g)
+
+
+@pytest.mark.parametrize("pair", [(0, 99), (0,), (0, 1, 2), (0, -1)])
+@pytest.mark.parametrize("graph", ["c4", "q4-near-miss"])
+def test_malformed_hamming_pair_fails_verification(graph, pair):
+    g = cycle(4) if graph == "c4" else hypercube_near_miss(4, 0, 7)
+    assert ci.RecognitionWitness(kind="hamming_violation", pair=pair).verify(g) is False
+
+
+def test_recognition_on_the_graph_atlas():
+    """Every connected graph on 1-7 vertices, against Winkler's characterization.
+
+    A connected graph is a partial cube exactly when it is bipartite and its
+    relation theta_related is transitive (Winkler, Discrete Appl. Math. 7
+    (1984) 221-225).
+    """
+    nx = pytest.importorskip("networkx")
+    kinds = {}
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n == 0 or not nx.is_connected(atlas_graph):
+            continue
+        g = ci.build_graph(n, list(atlas_graph.edges))
+        d = np.zeros((n, n), dtype=np.int64)
+        for s, lengths in nx.all_pairs_shortest_path_length(atlas_graph):
+            for t, length in lengths.items():
+                d[s, t] = length
+        related = np.array([[theta_related(d, e, f) for f in g.edges] for e in g.edges], dtype=bool)
+        transitive = not ((related.astype(int) @ related.astype(int) > 0) & ~related).any()
+        result = ci.recognize_partial_cube(g)
+        assert isinstance(result, ci.PartialCube) == (nx.is_bipartite(atlas_graph) and transitive)
+        if isinstance(result, ci.PartialCube):
+            kinds["partial cube"] = kinds.get("partial cube", 0) + 1
+            assert ci.indices_from_rows(ci.cut_class_summaries(result)) == indices_by_definition(g)
+        else:
+            kinds[result.kind] = kinds.get(result.kind, 0) + 1
+            assert result.verify(g)
+    assert kinds == {"partial cube": 47, "odd_cycle": 924, "bad_class_cut": 25}
 
 
 def test_hamming_violation_verify_builds_one_distance_matrix(monkeypatch):
