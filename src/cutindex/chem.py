@@ -382,22 +382,23 @@ def c4c8_theta_partition(spec: C4C8Spec | BenzenoidSpec):
 
 
 def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartition:
-    """Group edge classes by direction tag.
+    """Group edge classes by direction code.
 
-    tags holds one tag per edge: an integer array of DIRECTIONS codes, as
-    the constructions give, or any sequence of tag names.  Every class must
-    be direction-pure (all its edges share one tag); a mixed class means the
-    input was not generated by this module's constructions.  A class is pure
-    when its smallest and largest codes agree, read off theta's grouping.
-    Groups are ordered by smallest contained class index.
+    tags holds each edge's DIRECTIONS code, as the constructions give them;
+    anything else is a GraphError.  Every class must be direction-pure (all
+    its edges share one code); a mixed class means the input was not
+    generated by this module's constructions.  A class is pure when its
+    smallest and largest codes agree, read off theta's grouping.  Groups are
+    ordered by smallest contained class index.
     """
     if len(tags) != g.edge_count:
         raise GraphError("one direction tag per edge required")
-    if isinstance(tags, np.ndarray) and tags.dtype.kind in "iu":
-        names, codes = DIRECTIONS, tags
-    else:
-        names, codes = np.unique(np.asarray(tags), return_inverse=True)
-        names = names.tolist()
+    codes = np.asarray(tags)
+    ints = codes.dtype.kind in "iu"
+    bad = np.flatnonzero((codes < 0) | (codes >= len(DIRECTIONS))) if ints else range(len(codes))
+    if len(bad):
+        k = int(bad[0])
+        raise GraphError(f"edge {k}: direction tag {codes[k].item()!r} is not a DIRECTIONS code")
     if not theta.class_count:
         return CoarserPartition(())
     by_class = codes[theta.order]
@@ -406,7 +407,7 @@ def direction_partition(g: Graph, tags, theta: ThetaPartition) -> CoarserPartiti
     mixed = np.flatnonzero(code != np.maximum.reduceat(by_class, starts))
     if len(mixed):
         j = int(mixed[0])
-        seen = sorted({names[c] for c in by_class[theta.bounds[j] : theta.bounds[j + 1]].tolist()})
+        seen = sorted({DIRECTIONS[c] for c in by_class[theta.bounds[j] : theta.bounds[j + 1]].tolist()})
         raise GraphError(f"class {j} mixes directions {seen}; not an elementary cut")
     classes = np.argsort(code, kind="stable")
     groups = np.split(classes, np.flatnonzero(np.diff(code[classes])) + 1)

@@ -111,9 +111,12 @@ _SCREEN_MIN_EDGES = 100
 
 
 def _check_each_edge(vertex_count: int, edges) -> None:
-    """Raise GraphError naming the first out-of-range, self-loop or duplicate edge."""
+    """Raise GraphError naming the first malformed, out-of-range, self-loop or duplicate edge."""
     seen: set[tuple[int, int]] = set()
-    for k, (u, v) in enumerate(edges):
+    for k, pair in enumerate(edges):
+        if len(pair) != 2:
+            raise GraphError(f"edge {k} = {tuple(pair)}: not a pair of endpoints")
+        u, v = pair
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(f"edge {k} = ({u},{v}): endpoint out of range [0,{vertex_count})")
         if u == v:
@@ -152,9 +155,9 @@ def build_graph(vertex_count: int, edges) -> Graph:
 
     edges is an iterable of (u, v) pairs or an (m, 2) integer array; an
     array long enough to screen with NumPy becomes the graph's ends without
-    any per-edge tuple.  Rejects self-loops, duplicate edges (in either
-    orientation) and endpoints outside [0, vertex_count); the first
-    offending edge is named in the error.
+    any per-edge tuple.  Rejects edges that are not pairs, self-loops,
+    duplicate edges (in either orientation) and endpoints outside
+    [0, vertex_count); the first offending edge is named in the error.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
@@ -210,9 +213,9 @@ def require_connected(g: Graph) -> None:
 #: O(n^2) allocation (n <= 16384 fits).
 DISTANCE_MATRIX_MAX_BYTES = 1 << 30
 
-#: Sources are swept in blocks of 64-bit words small enough that one level's
-#: gather of neighbour frontiers stays under this many bytes.
-_GATHER_MAX_BYTES = 1 << 18
+#: Row-blocked passes (distance sweeps and fills, brute evaluator rows, Theta*
+#: batches, the Hamming scan) keep each block's largest array near this size.
+_BLOCK_BYTES = 1 << 18
 
 #: Graphs of fewer vertices take one scalar BFS per source: there the
 #: kernel's fixed cost (a handful of NumPy calls per level, and the
@@ -223,10 +226,6 @@ _GATHER_MAX_BYTES = 1 << 18
 #: 3-5 vertices, gated at 1 ms, took 0.5-1.2 ms against 0.2-0.4 ms
 #: (2-core x86-64 Linux host).
 _ARRAY_MIN_VERTICES = 17
-
-#: A sweep's distances are written into the result in row blocks of about
-#: this many cells.
-_FILL_BLOCK_CELLS = 1 << 15
 
 
 def _neighbour_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -297,11 +296,11 @@ def distance_matrix(g: Graph) -> np.ndarray:
     require_connected(g)
     nbr, starts = _neighbour_csr(g)
     d = np.zeros((n, n), dtype=np.int32)
-    sweep = 64 * max(1, _GATHER_MAX_BYTES // (8 * len(nbr)))
+    sweep = 64 * max(1, _BLOCK_BYTES // (8 * len(nbr)))
     for s0 in range(0, n, sweep):
         count = min(n, s0 + sweep) - s0
         planes = _distance_planes(nbr, starts, s0, count)
-        rows = max(1, _FILL_BLOCK_CELLS // count)
+        rows = max(1, _BLOCK_BYTES // (4 * count))
         for r0 in range(0, n, rows):
             out = d[r0 : r0 + rows, s0 : s0 + count]
             for b, plane in enumerate(planes):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FILL_BLOCK_CELLS, Graph, GraphError, check_u64
+from .core import _BLOCK_BYTES, Graph, GraphError, check_u64
 from .core import component_labels, distance_matrix
 from .core import require_connected
 from .quotient import CoarserPartition, CutRow, quotient_by_edge_classes
@@ -105,7 +105,7 @@ def _wiener(g: Graph, w, what: str, d: np.ndarray | None = None):
     n = g.vertex_count
     w = (1,) * n if w is None else w
     vec = _weight_vector(w, n, exact=False)  # row sums are below n * max(w) * n
-    rows = max(1, _FILL_BLOCK_CELLS // max(n, 1))
+    rows = max(1, _BLOCK_BYTES // (4 * max(n, 1)))
     double = 0
     for r0 in range(0, n, rows):
         sums = (d[r0 : r0 + rows] @ vec).tolist()
@@ -127,7 +127,7 @@ def _szeged(g: Graph, w, w_edge, what: str, d: np.ndarray | None = None):
     w_edge = (1,) * m if w_edge is None else w_edge
     vec = _weight_vector((1,) * n if w is None else w, 1, exact=True)
     u, v = g.ends.T
-    block = max(1, _FILL_BLOCK_CELLS // max(n, 1))
+    block = max(1, _BLOCK_BYTES // (4 * max(n, 1)))
     total = 0
     for k0 in range(0, m, block):
         du, dv = d[u[k0 : k0 + block]], d[v[k0 : k0 + block]]
@@ -241,17 +241,17 @@ def _quotient_cuts(g: Graph, theta: ThetaPartition, cp: CoarserPartition):
 def partition_rows(g: Graph, theta: ThetaPartition, cp: CoarserPartition) -> list[CutRow]:
     """The partition route's rows, read off one weighted quotient per group.
 
-    theta must be the Theta partition of g: a recognized partial cube's, or
-    the geometric classes of a cell system.  That is a precondition, not a
-    check; only the two-part cuts below are checked, and classes that pass
-    them without being the Theta partition give rows of wrong indices.  In
-    the quotient by a group, the quotient edges of one class j are a cut
-    with exactly two components, whose vertex weights are the sides of
-    class j in g; the side holding the class anchor comes first, so the rows
-    equal the cut route's.  Tree quotients take the linear tree pass.  A
-    disconnected g, a quotient edge standing for two classes, or a cut
-    leaving other than two components raises GraphError.  Sorted by class
-    index.
+    theta must be the Theta partition of g, as its documented producers give
+    it: theta_star_classes, a PartialCube from recognize_partial_cube, or
+    c4c8_theta_partition.  That is a precondition, not a check; only the
+    two-part cuts below are checked, and classes that pass them without
+    being the Theta partition give rows of wrong indices.  In the quotient
+    by a group, the quotient edges of one class j are a cut with exactly two
+    components, whose vertex weights are the sides of class j in g; the side
+    holding the class anchor comes first, so the rows equal the cut route's.
+    Tree quotients take the linear tree pass.  A disconnected g, a quotient
+    edge standing for two classes, or a cut leaving other than two
+    components raises GraphError.  Sorted by class index.
     """
     return sorted(
         CutRow(j, size, *((n1, n2) if anchored else (n2, n1)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -28,17 +29,29 @@ class CoarserPartition:
     groups: tuple[tuple[int, ...], ...]
 
 
+def _class_indices(group) -> tuple[int, ...]:
+    """group as a tuple of Python ints; GraphError names the first non-integer."""
+    ints = []
+    for j in group:
+        try:
+            ints.append(index(j))
+        except TypeError:
+            raise GraphError(f"class index {j!r} is not an integer") from None
+    return tuple(ints)
+
+
 def validate_coarser(theta: ThetaPartition, grouping) -> CoarserPartition:
     """Accept a grouping iff it partitions the class indices {0..r-1}.
 
-    Group order is preserved; missing or duplicated classes are rejected with
-    the offending class index named.
+    Group order is preserved and indices become Python ints; non-integer,
+    missing or duplicated classes are rejected with the offending class
+    index named.
     """
     r = theta.class_count
     seen: set[int] = set()
     groups: list[tuple[int, ...]] = []
     for gi, group in enumerate(grouping):
-        group = list(group)
+        group = _class_indices(group)
         members = sorted(set(group))
         if len(members) != len(group):
             dup = next(j for j in group if group.count(j) > 1)
@@ -91,10 +104,11 @@ def quotient_by_edge_classes(g: Graph, theta: ThetaPartition, class_indices) -> 
     """Build the weighted quotient of g by the union of the given classes.
 
     It needs only the graph and an edge partition, not a verified partial
-    cube.  A class listed twice, or a quotient edge whose original edges come
-    from two classes, raises GraphError.
+    cube.  A class index that is no integer or out of range, a class listed
+    twice, or a quotient edge whose original edges come from two classes,
+    raises GraphError.
     """
-    class_indices = tuple(class_indices)
+    class_indices = _class_indices(class_indices)
     if len(set(class_indices)) != len(class_indices):
         repeated = next(j for j in class_indices if class_indices.count(j) > 1)
         raise GraphError(f"class {repeated} listed twice in the group")

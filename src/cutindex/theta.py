@@ -22,7 +22,7 @@ witness.
 
 Classes come back as a ThetaPartition: a label array and one stable-argsort
 grouping of it, which quotients and the direction partition read as
-arrays; the tuple views are derived only when asked for.
+arrays; its classes tuple is derived only when asked for.
 """
 
 from __future__ import annotations
@@ -32,22 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    Graph,
-    GraphError,
-    component_labels,
-    components_after_removal,
-    distance_matrix,
-    is_bipartite,
-)
-
-#: The isometry check compares label Hamming distances with the distance
-#: matrix in row blocks of at most this many (vertex pair, label word) cells.
-_HAMMING_BLOCK_CELLS = 1 << 16
-
-#: Theta* closure takes its members' cut vectors, and evaluates their relation
-#: rows, in blocks of at most this many (member, vertex or edge) cells.
-_THETA_BLOCK_CELLS = 1 << 18
+from .core import _BLOCK_BYTES, Graph, GraphError, component_labels
+from .core import components_after_removal, distance_matrix, is_bipartite
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -58,10 +44,9 @@ class ThetaPartition:
     is three read-only int64 arrays: labels[k] is edge k's class, order
     lists the edges class by class (a stable argsort of labels, so each
     class's edges ascend), and class j is order[bounds[j]:bounds[j + 1]].
-    classes (sorted edge-index tuples) and class_of (labels as a tuple) are
-    derived on first use, so a pass that reads only the arrays builds no
-    per-edge tuple.  ==, hash and repr go by classes and class_of, as built
-    by from_classes or _from_labels.
+    classes (sorted edge-index tuples) is derived on first use, so a pass
+    that reads only the arrays builds no per-edge tuple.  The numbering is
+    canonical, so == and hash go by the labels alone; repr shows classes.
     """
 
     labels: np.ndarray
@@ -77,46 +62,21 @@ class ThetaPartition:
         order, bounds = self.order.tolist(), self.bounds.tolist()
         return tuple(tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        return tuple(self.labels.tolist())
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the numbering is canonical, so the labels decide
         return np.array_equal(self.labels, other.labels)
 
     def __hash__(self):
-        return hash((self.classes, self.class_of))
+        return hash(self.labels.tobytes())
 
     def __repr__(self):
-        return f"ThetaPartition(classes={self.classes!r}, class_of={self.class_of!r})"
+        return f"ThetaPartition(classes={self.classes!r})"
 
     @staticmethod
-    def from_classes(classes, edge_count: int) -> "ThetaPartition":
-        """Canonicalize and validate a list of edge-index sets as a partition."""
-        normalized = [tuple(sorted(c)) for c in classes]
-        if not all(normalized):
-            raise GraphError("empty edge class")
-        normalized.sort(key=lambda c: c[0])
-        class_of = [-1] * edge_count
-        for j, cls in enumerate(normalized):
-            for k in cls:
-                if not 0 <= k < edge_count:
-                    raise GraphError(f"edge index {k} out of range [0,{edge_count})")
-                if class_of[k] != -1:
-                    raise GraphError(f"edge {k} appears in two classes")
-                class_of[k] = j
-        missing = [k for k, j in enumerate(class_of) if j == -1]
-        if missing:
-            raise GraphError(f"edge {missing[0]} not covered by any class")
-        return ThetaPartition._from_labels(np.array(class_of, dtype=np.int64), len(normalized))
-
-    @staticmethod
-    def _from_labels(class_of: np.ndarray, count: int) -> "ThetaPartition":
+    def _from_labels(labels: np.ndarray, count: int) -> "ThetaPartition":
         """The partition of edges labelled 0..count-1 in order of their smallest edge."""
-        labels = class_of.astype(np.int64, copy=False)
+        labels = labels.astype(np.int64, copy=False)
         order = np.argsort(labels, kind="stable")
         bounds = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(np.bincount(labels, minlength=count), out=bounds[1:])
@@ -153,26 +113,26 @@ def theta_star_classes(g: Graph, d: np.ndarray | None = None) -> ThetaPartition:
     # distances at most 1 apart, so the wrapping int8 difference of their low
     # bytes is the cut vector exactly.
     low = np.ascontiguousarray(d, dtype="<i4").view(np.int8)[:, ::4]
-    block = max(1, _THETA_BLOCK_CELLS // max(n, m, 1))
-    class_of = np.full(m, -1, dtype=np.intp)
+    block = max(1, _BLOCK_BYTES // max(n, m, 1))  # int8 cuts, bool rows
+    label = np.full(m, -1, dtype=np.intp)
     left, count = m, 0
     for start in range(m):
         if not left:
             break
-        if class_of[start] != -1:
+        if label[start] != -1:
             continue
-        class_of[start] = count
+        label[start] = count
         left -= 1
         members = [start]
         for hit in _distinct_rows(low, u, v, members, block):
-            joined = np.flatnonzero(hit & (class_of == -1))
-            class_of[joined] = count
+            joined = np.flatnonzero(hit & (label == -1))
+            label[joined] = count
             left -= len(joined)
             members.extend(joined.tolist())
             if not left:
                 break
         count += 1
-    return ThetaPartition._from_labels(class_of, count)
+    return ThetaPartition._from_labels(label, count)
 
 
 def _distinct_rows(low: np.ndarray, u: np.ndarray, v: np.ndarray, members: list, block: int):
@@ -318,6 +278,16 @@ def recognize_partial_cube(g: Graph, d: np.ndarray | None = None):
     (every class cut two-sided, every vertex pair's Hamming distance equal to
     its graph distance), or a RecognitionWitness.  Disconnected or empty
     input is an error, not a rejection.  d, if given, is g's distance matrix.
+
+    Once every class cut is two-sided, the Hamming check cannot fail.  In a
+    connected bipartite graph an edge xy splits V into W_xy and W_yx (the
+    vertices closer to x, and to y), and the edges Theta-related to xy are
+    F_xy, those between the two.  Let class C leave two components.  Each xy
+    in C has F_xy within C, so each component lies in W_xy or in W_yx, both
+    nonempty: the components are W_xy and W_yx.  So all of C gives one split,
+    C = F_xy, Theta is transitive, g is a partial cube (Winkler, Discrete
+    Appl. Math. 7 (1984) 221-225) and the cut labels embed it isometrically.
+    The check stays: acceptance rests on what it checks, not on this proof.
     """
     if g.vertex_count == 0:
         raise GraphError("empty graph")
@@ -348,7 +318,7 @@ def _hamming_mismatch(labels: np.ndarray, d: np.ndarray):
     rows of d, so no n x n temporary is built.
     """
     n, words = labels.shape
-    rows = max(1, _HAMMING_BLOCK_CELLS // max(1, n * words))
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, n * words)))
     for lo in range(0, n, rows):
         block = labels[lo : lo + rows, None, :] ^ labels[None, :, :]
         ham = np.bitwise_count(block).sum(axis=2, dtype=np.int64)

@@ -21,6 +21,7 @@ from helpers import (
     direction_tag,
     face_join_reference,
     label_ints,
+    partition_from_classes,
     random_benzenoid,
     random_c4c8,
     reference_quotient_trees,
@@ -179,8 +180,6 @@ def test_direction_partition_single_hexagon():
 
 def test_direction_partition_rejects_mixed_class():
     g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
-    bad_tags = ["H"] * g.edge_count
-    bad_tags[theta.classes[0][0]] = "V"
     codes = np.zeros(g.edge_count, dtype=np.int8)
     codes[theta.classes[0][0]] = ci.DIRECTIONS.index("V")
     # the tags of class 2's smallest edge, and of no other, turned to the next direction
@@ -188,11 +187,9 @@ def test_direction_partition_rejects_mixed_class():
     turned[theta.classes[2][0]] = (turned[theta.classes[2][0]] + 1) % 4
     mixed2 = sorted({ci.DIRECTIONS[tags[theta.classes[2][0]]], ci.DIRECTIONS[turned[theta.classes[2][0]]]})
     for bad, message in [
-        (tuple(bad_tags), "class 0 mixes directions ['H', 'V']; not an elementary cut"),
-        (bad_tags, "class 0 mixes directions ['H', 'V']; not an elementary cut"),
         (codes, "class 0 mixes directions ['H', 'V']; not an elementary cut"),
         (turned, f"class 2 mixes directions {mixed2}; not an elementary cut"),
-        (tuple(_names(turned)), f"class 2 mixes directions {mixed2}; not an elementary cut"),
+        (turned.tolist(), f"class 2 mixes directions {mixed2}; not an elementary cut"),
     ]:
         with pytest.raises(ci.GraphError) as err:
             ci.direction_partition(g, bad, theta)
@@ -203,14 +200,42 @@ def test_direction_partition_rejects_mixed_class():
         assert str(err.value) == "one direction tag per edge required"
 
 
-def test_direction_partition_of_codes_equals_that_of_names():
+def test_direction_partition_takes_only_direction_codes():
+    # Tag names, and codes outside DIRECTIONS, are refused by the first such edge.
+    g, tags, theta = c4c8_theta_partition(ci.C4C8Spec([(0, 0)]))
+    k = theta.classes[1][0]
+    seven = tags.copy()
+    seven[k] = 7  # one edge of a class whose other edge keeps its code
+    past = tags.astype(np.uint8)
+    past[k] = len(ci.DIRECTIONS)
+    name = ci.DIRECTIONS[tags[0]]
+    for bad, message in [
+        (tuple(_names(tags)), f"edge 0: direction tag {name!r} is not a DIRECTIONS code"),
+        (np.array(_names(tags)), f"edge 0: direction tag {name!r} is not a DIRECTIONS code"),
+        (tags.astype(np.float64), f"edge 0: direction tag {float(tags[0])!r} is not a DIRECTIONS code"),
+        (seven, f"edge {k}: direction tag 7 is not a DIRECTIONS code"),
+        (past, f"edge {k}: direction tag 4 is not a DIRECTIONS code"),
+        (np.full(g.edge_count, -1), "edge 0: direction tag -1 is not a DIRECTIONS code"),
+    ]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.direction_partition(g, bad, theta)
+        assert str(err.value) == message
+
+
+def test_direction_partition_of_no_classes_has_no_groups():
+    empty = ci.ThetaPartition._from_labels(np.zeros(0, dtype=np.int64), 0)
+    k1 = ci.build_graph(1, [])
+    assert ci.direction_partition(k1, np.zeros(0, dtype=np.int8), empty) == ci.CoarserPartition(())
+    assert ci.direction_partition(k1, (), empty) == ci.CoarserPartition(())
+
+
+def test_direction_partition_groups_classes_by_code():
     rng = random.Random(73)
     specs = [random_c4c8(rng, 12) for _ in range(10)] + [random_benzenoid(rng, 12) for _ in range(10)]
     for spec in specs:
         g, tags, theta = c4c8_theta_partition(spec)
         cp = ci.direction_partition(g, tags, theta)
-        assert cp == ci.direction_partition(g, tuple(_names(tags)), theta)
-        assert cp == ci.direction_partition(g, np.array(_names(tags)), theta)
+        assert cp == ci.direction_partition(g, tags.tolist(), theta)
         # groups by smallest class, each a tag's classes in order, every class once
         by_tag = {}
         for j, cls in enumerate(theta.classes):
@@ -249,7 +274,7 @@ def test_kernel_classes_equal_the_chain_walk():
     for spec in specs:
         g, tags, theta = c4c8_theta_partition(spec)
         walk = chain_walk_classes(g.edge_count, _assemble(spec)[2])
-        assert theta == ci.ThetaPartition.from_classes(walk, g.edge_count)
+        assert theta == partition_from_classes(walk, g.edge_count)
         build = ci.build_c4c8 if isinstance(spec, ci.C4C8Spec) else ci.build_benzenoid
         g2, tags2, _ = build(spec)
         assert g2 == g and tags2.tolist() == tags.tolist()
@@ -470,7 +495,7 @@ def test_report_rejects_classes_not_one_per_quotient_edge(monkeypatch, tmp_path,
         j, k = next((j, k) for j in range(len(classes)) for k in range(j)
                     if tags[classes[j][0]] == tags[classes[k][0]])
         classes[k] += classes.pop(j)
-    bad = ci.ThetaPartition.from_classes(classes, g.edge_count)
+    bad = partition_from_classes(classes, g.edge_count)
     monkeypatch.setattr("cutindex.chem.c4c8_theta_partition", lambda s: (g, tags, bad))
     # The fold refuses the split class; the reader refuses the merged one,
     # whose two edges of the tree quotient leave three parts.

@@ -131,6 +131,20 @@ def test_index_non_partial_cube_exit_3_with_witness(tmp_path, capsys):
     assert any(line.startswith("witness_cycle=") for line in out)
 
 
+def test_odd_cycle_witness_bytes(tmp_path, capsys):
+    c5 = _write(tmp_path, "c5.graph", C5)
+    plain = "partial_cube=false\nwitness=odd_cycle\nwitness_cycle=2,1,0,4,3\n"
+    as_json = '{"partial_cube": false, "witness": {"kind": "odd_cycle", "odd_cycle": [2, 1, 0, 4, 3]}}\n'
+    for argv, rc, out in [
+        (["recognize", c5], 0, plain),
+        (["recognize", c5, "--json"], 0, as_json),
+        (["index", c5, "--method", "cut"], 3, plain),
+        (["index", c5, "--method", "cut", "--json"], 3, as_json),
+    ]:
+        assert main(argv) == rc
+        assert capsys.readouterr() == (out, "")
+
+
 def test_index_brute_works_on_non_partial_cube(tmp_path, capsys):
     rc = main(["index", _write(tmp_path, "c5.graph", C5)])
     assert rc == 0
@@ -774,7 +788,7 @@ def test_direction_route_builds_no_cell_or_class_tuples(tmp_path, monkeypatch, c
     assert "cells" not in specs[0].__dict__
     _, tags, theta = thetas[0]
     assert tags.dtype == np.int8
-    assert "classes" not in theta.__dict__ and "class_of" not in theta.__dict__
+    assert "classes" not in theta.__dict__
     out = capsys.readouterr().out
     monkeypatch.undo()
     commented = "# line parser\n" + text.replace("\n", "\r\n")

@@ -51,6 +51,29 @@ def test_build_rejects_out_of_range():
         ci.build_graph(2, [(0, 2)])
 
 
+def test_build_rejects_a_negative_vertex_count():
+    with pytest.raises(ci.GraphError) as err:
+        ci.build_graph(-1, [])
+    assert str(err.value) == "vertex_count must be nonnegative, got -1"
+
+
+@pytest.mark.parametrize("m", [1, _SCREEN_MIN_EDGES])
+def test_build_names_the_first_edge_that_is_no_pair(m):
+    # Below and above the NumPy screen's size limit, as tuples, lists and an
+    # array: once a bare ValueError from unpacking.
+    edges = [(v, v + 1) for v in range(m - 1)]
+    for bad in [(0, 1, 2), (0,), [m - 1], ()]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.build_graph(m + 1, edges + [bad])
+        assert str(err.value) == f"edge {m - 1} = {tuple(bad)}: not a pair of endpoints"
+    with pytest.raises(ci.GraphError) as err:
+        ci.build_graph(3, np.array([[0, 1, 2]] * m))
+    assert str(err.value) == "edge 0 = (0, 1, 2): not a pair of endpoints"
+    with pytest.raises(ci.GraphError) as err:  # an earlier fault is named first
+        ci.build_graph(m + 1, [(0, m + 1)] + edges + [(0, 1, 2)])
+    assert str(err.value) == f"edge 0 = (0,{m + 1}): endpoint out of range [0,{m + 1})"
+
+
 @pytest.mark.parametrize("m", [3, 300])
 def test_build_rejects_float_endpoints(m):
     # Endpoints index per-vertex arrays, so a float is a TypeError even when
@@ -234,7 +257,7 @@ def _distance_families():
 _KERNEL_SETTINGS = {
     "default": {},
     "array": {"_ARRAY_MIN_VERTICES": 2},
-    "one_word_sweeps": {"_ARRAY_MIN_VERTICES": 2, "_GATHER_MAX_BYTES": 1},
+    "one_word_sweeps": {"_ARRAY_MIN_VERTICES": 2, "_BLOCK_BYTES": 1},
     "scalar": {"_ARRAY_MIN_VERTICES": 1 << 30},
 }
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutindex as ci
+from cutindex import files
 from cutindex.files import (
     ParseError,
     format_coords_sidecar,
@@ -177,6 +178,13 @@ def test_array_path_builds_no_edge_tuples():
     assert "edges" not in data.graph.__dict__
     assert data.graph.ends.tolist() == [[0, 1], [1, 2]]
     assert [w.tolist() for w in data.weight_vectors()] == [[1, 1, 5], [4, 1]]
+
+
+def test_non_ascii_graph_file_takes_the_line_parser():
+    plain = "p 3 2\ne 0 1\ne 1 2\nwv 2 5\n"
+    for text in ("# Wiener\u2013Szeged\n" + plain, plain + "# \u00e9\n"):
+        assert files._parse_graph_arrays(text) is None
+        assert parse_graph_text(text) == parse_graph_text(plain)
 
 
 def test_weight_lines_stay_arrays_on_both_parsers():

@@ -14,6 +14,7 @@ from helpers import (
     cycle,
     hypercube,
     indices_by_definition,
+    partition_from_classes,
     path,
     petersen,
     random_benzenoid,
@@ -91,7 +92,8 @@ def test_evaluators_match_the_definition(monkeypatch, name, kind, rows_per_block
     # side; patching the block size splits the matrix into many row blocks.
     g = _ORACLE_GRAPHS[name]
     if rows_per_block is not None:
-        monkeypatch.setattr(cutindex.indices, "_FILL_BLOCK_CELLS", rows_per_block * max(g.vertex_count, 1))
+        # int32 distances: 4 bytes a cell
+        monkeypatch.setattr(cutindex.indices, "_BLOCK_BYTES", 4 * rows_per_block * max(g.vertex_count, 1))
     w, w_edge = _oracle_weights(kind, g, random.Random(f"{name}/{kind}"))
     got = (
         _outcome(ci.wiener_weighted, ci.VertexWeightedGraph(g, w)),
@@ -463,7 +465,7 @@ def test_partition_rows_equal_quotient_theta_classes(monkeypatch):
     ids=["shared-quotient-edge", "one-part", "three-parts"],
 )
 def test_partition_rows_rejects_non_cut_classes(g, classes, groups, message):
-    theta = ci.ThetaPartition.from_classes(classes, g.edge_count)
+    theta = partition_from_classes(classes, g.edge_count)
     cp = ci.validate_coarser(theta, groups)
     with pytest.raises(ci.GraphError) as err:
         ci.partition_rows(g, theta, cp)
@@ -476,7 +478,7 @@ def test_partition_rows_trusts_theta_to_be_the_theta_partition():
     # checks only that, so it returns rows whose W is 12, not K2,3's 14.
     g = ci.build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert isinstance(ci.recognize_partial_cube(g), ci.RecognitionWitness)
-    theta = ci.ThetaPartition.from_classes([[1, 2, 3], [0, 4, 5]], g.edge_count)
+    theta = partition_from_classes([[1, 2, 3], [0, 4, 5]], g.edge_count)
     rows = ci.partition_rows(g, theta, ci.coarsest_partition(theta))
     assert rows == [ci.CutRow(0, 3, 3, 2), ci.CutRow(1, 3, 2, 3)]
     assert ci.indices_from_rows(rows)[0] == 12
@@ -485,7 +487,7 @@ def test_partition_rows_trusts_theta_to_be_the_theta_partition():
     # n_q - 1 edges yet is no tree, and each class cut leaves two parts, but a
     # graph with no Wiener index has no rows: core's disconnected error.
     g = ci.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    theta = ci.ThetaPartition.from_classes([[k] for k in range(4)], g.edge_count)
+    theta = partition_from_classes([[k] for k in range(4)], g.edge_count)
     with pytest.raises(ci.GraphError) as err:
         ci.partition_rows(g, theta, ci.coarsest_partition(theta))
     assert str(err.value) == "graph is disconnected: no path between vertices 0 and 4"
@@ -497,7 +499,7 @@ def test_partition_rows_rejects_a_disconnected_graph(grouping):
     # cannot reach.  Groups {0} and {2} give quotients that are no tree by
     # edge count (components check); {0, 1} gives one with n_q - 1 edges (BFS).
     g = ci.build_graph(6, [(0, 1), (1, 3), (3, 4), (4, 0), (2, 5)])
-    theta = ci.ThetaPartition.from_classes([[0, 2], [1, 3], [4]], g.edge_count)
+    theta = partition_from_classes([[0, 2], [1, 3], [4]], g.edge_count)
     with pytest.raises(ci.GraphError) as err:
         ci.partition_rows(g, theta, ci.validate_coarser(theta, grouping))
     assert str(err.value) == "graph is disconnected: no path between vertices 0 and 2"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import cutindex as ci
@@ -8,6 +9,8 @@ from helpers import (
     cycle,
     folded_quotient,
     hypercube,
+    partition_from_classes,
+    path,
     random_coarser,
     random_tree,
 )
@@ -33,6 +36,51 @@ def test_validate_coarser_rejects_duplicate_and_missing():
         ci.validate_coarser(theta, [{0}, {1}])
     with pytest.raises(ci.GraphError, match="out of range"):
         ci.validate_coarser(theta, [{0, 1, 2, 3}])
+
+
+def test_validate_coarser_rejects_an_empty_group():
+    theta = _theta(path(4))
+    with pytest.raises(ci.GraphError) as err:
+        ci.validate_coarser(theta, [[0, 1, 2], []])
+    assert str(err.value) == "group 1 is empty"
+
+
+def test_class_indices_that_are_no_integers_are_refused():
+    # On P4's three classes a float once took class 0's place in the count,
+    # and reached partition_rows as an IndexError.
+    g = path(4)
+    theta = _theta(g)
+    for grouping, bad in [([[0.5], [1, 2]], 0.5), ([[0], ["1"], [2]], "1"), ([[0, None], [1, 2]], None)]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.validate_coarser(theta, grouping)
+        assert str(err.value) == f"class index {bad!r} is not an integer"
+    for group in [(0.0,), (1, np.float64(2))]:
+        with pytest.raises(ci.GraphError) as err:
+            ci.quotient_by_edge_classes(g, theta, group)
+        assert str(err.value) == f"class index {group[-1]!r} is not an integer"
+
+
+def test_integer_class_indices_become_python_ints():
+    # True once indexed the class arrays as a mask, a TypeError in partition_rows.
+    g = path(4)
+    theta = _theta(g)
+    cp = ci.validate_coarser(theta, [[True], [np.int64(0), np.uint8(2)]])
+    assert cp.groups == ((1,), (0, 2))
+    assert all(type(j) is int for group in cp.groups for j in group)
+    plain = ci.validate_coarser(theta, [[1], [0, 2]])
+    assert ci.partition_rows(g, theta, cp) == ci.partition_rows(g, theta, plain)
+    wq = ci.quotient_by_edge_classes(g, theta, (np.int8(2), True))
+    assert wq == ci.quotient_by_edge_classes(g, theta, (2, 1))
+    assert all(type(j) is int for j in (*wq.edge_class, *wq.class_anchors))
+
+
+def test_fold_rejects_a_class_index_out_of_range():
+    g = path(4)
+    theta = _theta(g)
+    for j in (3, -1):
+        with pytest.raises(ci.GraphError) as err:
+            ci.quotient_by_edge_classes(g, theta, (0, j))
+        assert str(err.value) == f"class index {j} out of range [0,3)"
 
 
 def test_validate_coarser_takes_one_shot_groups():
@@ -123,7 +171,7 @@ def test_quotients_are_partial_cubes_and_transfer_is_exact():
 def test_non_cut_classes_rejected():
     # a fake partition whose "class" does not disconnect the graph
     g = cycle(4)
-    fake = ci.ThetaPartition.from_classes([{0}, {1, 2, 3}], 4)
+    fake = partition_from_classes([{0}, {1, 2, 3}], 4)
     with pytest.raises(ci.GraphError, match="not cut classes"):
         ci.quotient_by_edge_classes(g, fake, (0,))
 
@@ -131,7 +179,7 @@ def test_non_cut_classes_rejected():
 def test_fold_rejects_a_quotient_edge_of_two_classes():
     # C4 with opposite edges 0 and 2 in separate classes: both fold into one quotient edge.
     g = cycle(4)
-    fake = ci.ThetaPartition.from_classes([[0], [2], [1, 3]], 4)
+    fake = partition_from_classes([[0], [2], [1, 3]], 4)
     with pytest.raises(ci.GraphError) as err:
         ci.quotient_by_edge_classes(g, fake, (2, 0))
     assert str(err.value) == "quotient edge 0 represents original classes [0, 2]; expected exactly one"
@@ -173,7 +221,7 @@ def test_non_cut_group_names_the_first_offending_edge():
         edges = list(range(g.edge_count))
         rng.shuffle(edges)
         cuts = sorted(rng.sample(range(1, g.edge_count), 5))
-        fake = ci.ThetaPartition.from_classes(
+        fake = partition_from_classes(
             [edges[a:b] for a, b in zip([0] + cuts, cuts + [g.edge_count])], g.edge_count
         )
         group = rng.sample(range(fake.class_count), 3)
@@ -184,3 +232,35 @@ def test_non_cut_group_names_the_first_offending_edge():
             assert str(err.value) == expected
         else:
             assert _folded(ci.quotient_by_edge_classes(g, fake, group)) == expected
+
+
+def _fake_quotient(g, edge_class, classes):
+    """g as a unit-weight WeightedQuotient standing for original classes 0..classes-1."""
+    return ci.WeightedQuotient(
+        quotient=g,
+        vertex_weight=(1,) * g.vertex_count,
+        edge_weight=(1,) * g.edge_count,
+        edge_class=edge_class,
+        class_anchors={j: 0 for j in range(classes)},
+    )
+
+
+@pytest.mark.parametrize(
+    "g, edge_class, classes, message",
+    [
+        (cycle(3), (0, 1, 2), 3,
+         "quotient failed partial-cube recognition (odd_cycle);"
+         " not built from cut classes of a partial cube"),
+        (path(3), (0, 1), 3,
+         "quotient has 2 classes, expected 3; not built from cut classes of a partial cube"),
+        (cycle(4), (0, 1, 1, 0), 2,
+         "quotient class 0 stands for original classes [0, 1];"
+         " not built from cut classes of a partial cube"),
+        (path(3), (0, 0), 2, "original class 0 represented by two quotient classes"),
+    ],
+    ids=["not-a-partial-cube", "class-count", "two-originals", "one-original-twice"],
+)
+def test_quotient_theta_classes_rejects_quotients_of_no_cut_classes(g, edge_class, classes, message):
+    with pytest.raises(ci.GraphError) as err:
+        ci.quotient_theta_classes(_fake_quotient(g, edge_class, classes))
+    assert str(err.value) == message

@@ -52,6 +52,12 @@ def test_all_names_resolve_and_removed_names_are_gone():
         (theta.PartialCube, "label_string"),
         (theta, "class_sides"),
         (theta, "theta_related"),
+        (theta.ThetaPartition, "from_classes"),
+        (theta.ThetaPartition, "class_of"),
+        (theta, "_HAMMING_BLOCK_CELLS"),
+        (theta, "_THETA_BLOCK_CELLS"),
+        (core, "_FILL_BLOCK_CELLS"),
+        (core, "_GATHER_MAX_BYTES"),
         (core.Graph, "degree"),
         (quotient.CoarserPartition, "group_count"),
     ]:

@@ -7,6 +7,8 @@ import pytest
 
 import cutindex as ci
 from cutindex import theta as theta_module
+from cutindex.cli import main
+from cutindex.files import format_graph_file
 from helpers import (
     class_sides,
     complete,
@@ -16,6 +18,7 @@ from helpers import (
     indices_by_definition,
     label_ints,
     pack_labels,
+    partition_from_classes,
     path,
     petersen,
     random_benzenoid,
@@ -30,7 +33,7 @@ from helpers import (
 
 def test_from_classes_rejects_an_empty_class():
     with pytest.raises(ci.GraphError) as err:
-        ci.ThetaPartition.from_classes([[0], []], 1)
+        partition_from_classes([[0], []], 1)
     assert str(err.value) == "empty edge class"
 
 
@@ -60,7 +63,7 @@ def test_tree_classes_are_singletons():
 def test_c4_classes_pair_opposite_edges():
     tp = ci.theta_star_classes(cycle(4))
     assert tp.classes == ((0, 2), (1, 3))
-    assert tp.class_of == (0, 1, 0, 1)
+    assert tp.labels.tolist() == [0, 1, 0, 1]
 
 
 def test_q3_classes_are_parallel_edges():
@@ -81,7 +84,7 @@ def test_theta_star_matches_pairwise_union_on_random_graphs():
     for e, f in itertools.combinations(range(g.edge_count), 2):
         related = theta_related(d, g.edges[e], g.edges[f])
         if related:
-            assert tp.class_of[e] == tp.class_of[f]
+            assert tp.labels[e] == tp.labels[f]
 
 
 def test_theta_star_rejects_disconnected():
@@ -158,7 +161,7 @@ def test_cross_class_pairs_unrelated_on_accepted_graphs():
         pc = ci.recognize_partial_cube(g)
         d = ci.distance_matrix(g)
         for e, f in itertools.combinations(range(g.edge_count), 2):
-            if pc.theta.class_of[e] != pc.theta.class_of[f]:
+            if pc.theta.labels[e] != pc.theta.labels[f]:
                 assert not theta_related(d, g.edges[e], g.edges[f])
 
 
@@ -193,6 +196,7 @@ def test_partial_cube_compares_and_hashes_by_value():
     pc, again = ci.recognize_partial_cube(g), ci.recognize_partial_cube(g)
     assert pc is not again and pc.labels is not again.labels
     assert pc == again and hash(pc) == hash(again)
+    assert "classes" not in pc.theta.__dict__ and "classes" not in again.theta.__dict__
     other = ci.recognize_partial_cube(relabelled(g, rng))
     assert isinstance(other, ci.PartialCube)
     assert pc != other
@@ -274,6 +278,16 @@ def test_fabricated_witnesses_fail_verification():
     assert not ci.RecognitionWitness(
         kind="bad_class_cut", class_edges=(0, 1), component_count=3
     ).verify(g)
+
+
+def test_malformed_witnesses_fail_verification():
+    # The even cycle 0-1-2-3 closes in C4; only its length makes it no witness.
+    g = cycle(4)
+    for cycle_ in [None, (0, 1, 2, 3), (0,)]:
+        assert ci.RecognitionWitness(kind="odd_cycle", odd_cycle=cycle_).verify(g) is False
+    assert ci.RecognitionWitness(kind="bad_class_cut", component_count=1).verify(g) is False
+    assert ci.RecognitionWitness(kind="bad_class_cut", class_edges=(), component_count=1).verify(g) is False
+    assert ci.RecognitionWitness(kind="isometry", pair=(0, 2)).verify(g) is False
 
 
 @pytest.mark.parametrize("pair", [(0, 99), (0,), (0, 1, 2), (0, -1)])
@@ -405,7 +419,7 @@ def test_theta_star_equals_pairwise_closure(name):
     g, (classes, class_of) = _closure_case(name)
     tp = ci.theta_star_classes(g)
     assert tp.classes == classes
-    assert tp.class_of == class_of
+    assert tuple(tp.labels.tolist()) == class_of
 
 
 @pytest.mark.parametrize("name", sorted(_CLOSURE_CASES))
@@ -424,11 +438,11 @@ def test_theta_partition_is_not_equal_to_other_types():
 def test_theta_star_block_budget_keeps_the_closure(monkeypatch, block_cells, name):
     # 1 cell takes one member per block; 97 cells several on graphs of fewer
     # than 49 vertices and edges, and one on larger ones.
-    monkeypatch.setattr(theta_module, "_THETA_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(theta_module, "_BLOCK_BYTES", block_cells)  # int8 cuts: a byte a cell
     g, (classes, class_of) = _closure_case(name)
     tp = ci.theta_star_classes(g)
     assert tp.classes == classes
-    assert tp.class_of == class_of
+    assert tuple(tp.labels.tolist()) == class_of
 
 
 def _first_mismatch_scalar(labels, d):
@@ -443,7 +457,7 @@ def _first_mismatch_scalar(labels, d):
 @pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
 def test_hamming_mismatch_matches_scalar_scan(monkeypatch, r, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(theta_module, "_HAMMING_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(theta_module, "_BLOCK_BYTES", 8 * block_cells)  # uint64 words
     rng = random.Random(r)
     n = 37
     for _ in range(4):
@@ -471,3 +485,39 @@ def test_hamming_mismatch_matches_scalar_scan(monkeypatch, r, block_cells):
         expected = _first_mismatch_scalar(flipped, exact)
         assert expected is not None
         assert theta_module._hamming_mismatch(pack_labels(flipped, r), exact) == expected
+
+
+def test_a_flipped_label_bit_is_a_hamming_violation(monkeypatch, tmp_path, capsys):
+    # Recognition never reaches its Hamming check on real labels (see
+    # recognize_partial_cube), so a label bit flipped on Q3 stands in for a
+    # broken labelling: the check must name the first mismatching pair.
+    g = hypercube(3)
+    d = ci.distance_matrix(g)
+    real = theta_module._cut_labelling
+
+    def flipped(graph, theta):
+        labels = real(graph, theta).copy()
+        labels[5, 0] ^= np.uint64(0b10)
+        return labels
+
+    codes = [int(x) for x in flipped(g, ci.theta_star_classes(g))[:, 0]]
+    pair = next(
+        (u, v) for u in range(8) for v in range(8) if bin(codes[u] ^ codes[v]).count("1") != d[u, v]
+    )
+    assert pair == (0, 5)
+    monkeypatch.setattr(theta_module, "_cut_labelling", flipped)
+    witness = ci.recognize_partial_cube(g)
+    assert witness == ci.RecognitionWitness(kind="hamming_violation", pair=pair)
+    q3 = tmp_path / "q3.graph"
+    q3.write_text(format_graph_file(g))
+    plain = "partial_cube=false\nwitness=hamming_violation\nwitness_pair=0,5\n"
+    assert main(["recognize", str(q3)]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["recognize", str(q3), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"partial_cube": false, "witness": {"kind": "hamming_violation", "pair": [0, 5]}}\n'
+    )
+    assert main(["index", str(q3), "--method", "cut"]) == 3
+    assert capsys.readouterr().out == plain
+    monkeypatch.undo()
+    assert witness.verify(g) is False  # Q3's true labels have no such pair
